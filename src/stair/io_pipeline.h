@@ -1,125 +1,49 @@
-// IoPipeline — async stripe IO feeding the Codec session.
+// IoPipeline — whole-file encode and decode over a StripeStore, feeding
+// the Codec session.
 //
-// The Codec (stair/codec.h) turned the coding path into a stripe-batch
-// pipeline, but it still assumed every stripe was resident in memory. This
-// layer closes the remaining seam named by the roadmap: chunk-file IO runs
-// through an async engine (util/stripe_io.h) with a bounded ring of leased
-// stripe slots, and IO completions chain directly into submit_encode /
-// submit_decode (and compute completions chain back into writes), so disk
-// work for stripe k+d overlaps region work for stripe k with no thread ever
-// blocked between the stages:
+// Chunk-file IO runs through an async engine (util/stripe_io.h) inside a
+// bounded StripeRing of leased slots, and IO completions chain directly into
+// submit_encode / the stripe reader (and compute completions chain back into
+// writes), so disk work for stripe k+d overlaps region work for stripe k
+// with no thread ever blocked between the stages:
 //
-//   encode:  read(input chunk k) ──▶ submit_encode ──▶ write(n device chunks)
-//   decode:  read(n device chunks k) ─▶ [verify checksums, build mask]
-//              ├─ clean: write(output chunk k)
-//              └─ degraded: submit_decode via the session plan cache ─▶ write
+//   encode:  read(input chunk k) ──▶ submit_encode ──▶ StripeWriter (n chunks)
+//   decode:  StripeReader (n chunks, verify, mask, plan-cache decode)
+//              ──▶ write(output chunk k)
 //
-// The on-disk layout is a StripeStore: one dev_NN.bin per device (stripe k's
-// chunk of device j at byte k * r * symbol_bytes), plus a manifest recording
-// the config and a checksum per (stripe, device) chunk. Checksums are what
-// make degraded reads honest: a chunk that is missing, short, unreadable
-// (EIO), or torn (checksum mismatch) is treated as erased for exactly its
-// stripe, the mask is resolved through the session's DecodePlanCache (every
-// stripe of a failure epoch shares one inversion+compile), and the stripe is
-// reconstructed in the pipeline. Patterns outside the code's coverage fail
-// that stripe's handle and are counted — never thrown mid-pipeline.
+// Both directions are thin clients of the one stripe engine
+// (stair/stripe_engine.h): decode, ranged reads, scrub and the storage node
+// read stripes the same way, and encode, repair and node writes write them
+// the same way. Checksums are what make degraded reads honest: a chunk that
+// is missing, short, unreadable (EIO), or torn (checksum mismatch) is erased
+// for exactly the sectors it cannot vouch for, the mask resolves through the
+// session's DecodePlanCache (every stripe of a failure epoch shares one
+// inversion+compile), and patterns outside the code's coverage fail that
+// stripe and are counted — never thrown mid-pipeline.
 //
 // Depth: `queue_depth` stripes are in flight at once, each leasing a slot
-// (StripeBuffer + staging) from a WorkspacePool that settles at the depth
-// high-water mark. IO transfers are bounded by depth x (n + 1), so the
-// engine never needs its own backpressure against the pipeline.
+// from a WorkspacePool that settles at the depth high-water mark. IO
+// transfers are bounded by depth x (n + 1), so the engine never needs its
+// own backpressure against the pipeline.
 //
 // A pipeline is bound to one Codec (whose code defines the stripe geometry)
 // and runs one file operation at a time; distinct pipelines on distinct
 // codecs may run concurrently.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "stair/codec.h"
+#include "stair/stripe_engine.h"
+#include "stair/stripe_store.h"
 #include "util/stripe_io.h"
 #include "util/workspace_pool.h"
 
 namespace stair {
-
-/// Parses a comma-separated coverage vector ("1,2" -> {1, 2}) — the format
-/// both the manifest and file_codec's CLI use for `e`.
-std::vector<std::size_t> parse_coverage_list(const std::string& text);
-
-/// 64-bit content hash over a byte span — the sector checksum. A word-wise
-/// multiply-rotate mixer (~8 bytes/cycle of input vs 1 for classic FNV): the
-/// checksum pass must not become the pipeline's bottleneck next to the SIMD
-/// region kernels. Deterministic for a given platform endianness; plenty for
-/// torn-write/bit-rot detection, not a cryptographic integrity layer.
-std::uint64_t content_hash64(std::span<const std::uint8_t> bytes);
-
-/// Fold of a sequence of 64-bit hashes (hashed as 8-byte LE words in
-/// sequence order): the per-stripe data hash folds its data sectors' hashes,
-/// the manifest's data_checksum folds the per-stripe hashes. Exposed so a
-/// layer that rewrites stripes in place (the StorageNode write path) can
-/// refresh the whole-file fold from the manifest's sector checksums without
-/// re-reading content bytes.
-std::uint64_t combine_hashes(std::span<const std::uint64_t> hashes);
-
-/// The on-disk stripe store: per-device chunk files plus the manifest that
-/// decode needs (config, geometry, per-sector checksums, whole-file check).
-struct StripeStore {
-  StairConfig cfg;
-  std::size_t symbol_bytes = 0;
-  std::size_t file_size = 0;   // original file bytes (tail stripe is padded)
-  std::size_t stripes = 0;
-  /// Layout block size: each stripe's chunk row is padded to a multiple of
-  /// this, so every chunk transfer is block-aligned in offset and length —
-  /// the alignment O_DIRECT demands, solved once in the layout instead of
-  /// per-IO. 1 = the legacy unpadded layout (manifests without a `block`
-  /// line load as 1, so old stores keep working byte-for-byte).
-  std::size_t block_bytes = 1;
-  /// FNV over the per-stripe data checksums (8-byte LE each, stripe order) —
-  /// order-independent to compute with stripes completing out of order.
-  std::uint64_t data_checksum = 0;
-  /// Checksum of each stored sector — symbol (row i, device j) of stripe k at
-  /// [(k * cfg.n + j) * cfg.r + i]. Sector granularity is what lets decode
-  /// erase exactly the torn/rotted sectors of a surviving device instead of
-  /// writing off its whole chunk: the mixed device+sector failure patterns
-  /// STAIR's coverage is about.
-  std::vector<std::uint64_t> sector_checksums;
-
-  std::size_t chunk_bytes() const { return cfg.r * symbol_bytes; }
-  /// chunk_bytes rounded up to the layout block — the on-disk stride and
-  /// transfer length for one stripe's chunk (pad bytes are written as zero).
-  std::size_t padded_chunk_bytes() const {
-    return (chunk_bytes() + block_bytes - 1) / block_bytes * block_bytes;
-  }
-  /// Byte offset of stripe `stripe`'s chunk within each device file.
-  std::uint64_t chunk_offset(std::size_t stripe) const {
-    return std::uint64_t{stripe} * padded_chunk_bytes();
-  }
-  std::uint64_t sector_checksum(std::size_t stripe, std::size_t device,
-                                std::size_t row) const {
-    return sector_checksums[(stripe * cfg.n + device) * cfg.r + row];
-  }
-
-  static std::string device_path(const std::string& dir, std::size_t device);
-  static std::string manifest_path(const std::string& dir);
-
-  /// Writes manifest.txt into `dir` atomically (unique temp file + rename,
-  /// so a power cut mid-save leaves the previous manifest intact — the
-  /// manifest is the store's recovery point). Throws on IO failure.
-  void save(const std::string& dir) const;
-  /// Loads and validates manifest.txt. Every field is parse-checked and
-  /// bounds-checked before it is used to size or index sector_checksums: a
-  /// truncated, garbled, or adversarial manifest throws std::runtime_error
-  /// with a "manifest" message — never UB. (sector_checksum() itself stays
-  /// unchecked; a loaded store is guaranteed self-consistent.)
-  static StripeStore load(const std::string& dir);
-};
 
 class IoPipeline {
  public:
@@ -153,25 +77,11 @@ class IoPipeline {
     io::Engine::Options io;                    // used only when engine == nullptr
   };
 
-  /// Per-operation outcome + counters. `ok` is the everything-checks-out
-  /// bit: no fatal IO error, no unrecoverable stripe, and (decode) the
-  /// reassembled data matching the manifest checksum.
-  struct Stats {
-    bool ok = false;
-    std::string error;                 // first fatal error (empty when ok)
-    std::size_t stripes = 0;
-    std::size_t degraded_stripes = 0;  // reconstructed through the plan cache
-    std::size_t failed_stripes = 0;    // pattern outside the code's coverage
-    std::size_t chunks_missing = 0;    // open/read failure or short chunk
-    std::size_t sectors_corrupt = 0;   // read fine, sector checksum mismatch
-    std::size_t manifest_errors = 0;   // manifest missing/truncated/garbled
-    std::uint64_t bytes_read = 0;
-    std::uint64_t bytes_written = 0;
-  };
+  /// Per-operation outcome + counters (see IoStats).
+  using Stats = IoStats;
 
   explicit IoPipeline(Codec& codec);
   IoPipeline(Codec& codec, Options options);
-  ~IoPipeline();
 
   IoPipeline(const IoPipeline&) = delete;
   IoPipeline& operator=(const IoPipeline&) = delete;
@@ -188,15 +98,13 @@ class IoPipeline {
   Stats decode_file(const std::string& store_dir, const std::string& output_path);
 
   /// Serves the original-file byte range [offset, offset + out.size()) from
-  /// the store without touching stripes outside it. The happy path reads
-  /// *only the sectors the range needs* (sector-granular positioned reads)
-  /// and verifies each against the manifest; any miss — a missing/short
-  /// chunk, a torn sector, a device mid-rebuild — escalates that stripe to a
-  /// degraded read through StairCode::build_degraded_read_schedule, decoding
-  /// only the wanted symbols (a backward slice of the full decode plan, not
-  /// a stripe repair). This is how client reads keep being served *during*
-  /// a device rebuild. Stats.ok is false when the range exceeds the file or
-  /// a needed stripe is unrecoverable.
+  /// the store without touching stripes outside it (StripeReader::
+  /// read_range): the happy path reads and verifies only the sectors the
+  /// range needs; any miss — a missing/short chunk, a torn sector, a device
+  /// mid-rebuild — sends that stripe through the stripe reader and the
+  /// session plan cache. This is how client reads keep being served
+  /// *during* a device rebuild. Stats.ok is false when the range exceeds the
+  /// file or a needed stripe is unrecoverable.
   Stats read_range(const StripeStore& store, const std::string& store_dir,
                    std::uint64_t offset, std::span<std::uint8_t> out);
   /// read_range loading the manifest itself (convenience; per-call load).
@@ -208,45 +116,20 @@ class IoPipeline {
   /// Slot-pool high-water mark (== stripes concurrently in flight, settles
   /// at queue_depth).
   std::size_t slots_created() const { return slots_.created(); }
-  /// The aligned chunk-staging pool (nullptr until the first operation) —
-  /// exposed for tests asserting registration/overflow behavior.
-  const IoBufferPool* buffer_pool() const { return buffers_.get(); }
   /// True while the staging pool is registered with the engine (fixed-path
   /// transfers engaged).
-  bool fixed_buffers_active() const { return fixed_active_; }
+  bool fixed_buffers_active() const { return staging_.registered(); }
 
  private:
-  struct Slot;
-  struct Run;
-
-  using SlotLease = WorkspacePool<Slot>::Lease;
-
-  /// (Re)builds the aligned staging pool for the given chunk geometry and
-  /// registers it with the engine when fixed_buffers is on.
-  void ensure_buffers(std::size_t bytes, std::size_t alignment, std::size_t capacity);
-  void prepare_slot(Slot& slot, const StairCode& code, const Run& run,
-                    std::size_t devices);
-  SlotLease acquire_slot(Run& run);
-  void retire_slot(Run& run);
-  void fatal(Run& run, std::string message);
-  void drain(Run& run);
-
-  // Stage bodies (each runs on an engine/pool thread; must not throw).
-  void encode_on_input_read(Run& run, SlotLease slot, std::size_t stripe,
-                            std::size_t data_len, const io::Result& r);
-  void encode_on_encoded(Run& run, SlotLease slot, std::size_t stripe, bool ok);
-  void decode_on_chunk_read(Run& run, SlotLease slot, std::size_t stripe,
-                            std::size_t device, const io::Result& r);
-  void decode_assemble(Run& run, SlotLease slot, std::size_t stripe);
-  void decode_write_data(Run& run, SlotLease slot, std::size_t stripe);
-
   Codec& codec_;
   Options options_;
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_;
-  WorkspacePool<Slot> slots_;
-  std::unique_ptr<IoBufferPool> buffers_;  // chunk staging, see ensure_buffers
-  bool fixed_active_ = false;  // staging pool currently registered with engine_
+  WorkspacePool<StripeSlot> slots_;
+  ChunkStaging staging_;  // registered when fixed_buffers is on
+  StripeReader reader_;
+  StripeWriter writer_;
+  const std::vector<StripeStore::Position> positions_;
 };
 
 }  // namespace stair

@@ -59,80 +59,33 @@ void ScrubReport::accumulate(const ScrubReport& p) {
   bytes_written += p.bytes_written;
 }
 
-/// One leased stripe slot: the StripeBuffer reconstruction happens in, plus
-/// aligned chunk staging leases for reads and whole-chunk repair writes.
-/// Reused warm — leases stick to the slot across stripes (prepare re-leases
-/// only on geometry change).
-struct Scrubber::Slot {
-  std::optional<StripeBuffer> buf;
-  std::vector<IoBufferPool::Lease> chunks;
-  std::vector<io::Result> results;
-  std::vector<bool> mask;
-  /// Per-sector verdicts written by verify_chunk, one byte per sector at
-  /// [i * n + j] (bytes, not vector<bool>: concurrent verifiers write
-  /// disjoint columns, which packed bits cannot do safely). Published to the
-  /// assembling thread by the `pending` acq_rel countdown.
-  std::vector<std::uint8_t> sector_bad;
-  std::atomic<std::size_t> pending{0};
-};
-
-/// Per-pass shared state; lives on the run_pass stack, drain() guarantees
-/// no callback outlives it (the IoPipeline::Run idiom).
+/// Per-pass state; lives on the run_pass stack. The ring is declared last,
+/// so it drains before the state its callbacks use goes away.
 struct Scrubber::Pass {
-  const StripeStore* store = nullptr;
-  std::string dir;
+  Pass(const StripeStore& s, const std::string& d, std::optional<std::size_t> r,
+       WorkspacePool<StripeSlot>& slots, std::size_t depth)
+      : store(s), dir(d), rebuild(r), ring(slots, depth) {}
+
+  const StripeStore& store;
+  const std::string& dir;
   std::optional<std::size_t> rebuild;  // device being rebuilt, if any
-  bool repair = true;
-  io::IoPhase read_phase = io::IoPhase::kScrub;
-  std::size_t symbol_bytes = 0;
-  std::size_t chunk_bytes = 0;
-  std::size_t padded_chunk = 0;  // on-disk stride/transfer length per chunk
-  /// Open mode for chunk reads and the rebuild target (whole aligned
-  /// transfers only). Sector-patch open_update fds stay buffered.
-  io::OpenMode dev_mode = io::OpenMode::kBuffered;
-
-  std::vector<int> read_fds;   // -1: missing/skip (rebuild target)
-  std::vector<int> write_fds;  // -2: not opened yet; guarded by fd_mu
+  std::vector<int> read_fds;           // -1: missing/skip (rebuild target)
+  std::vector<int> write_fds;          // -2: not opened yet; guarded by fd_mu
   std::mutex fd_mu;
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t in_flight = 0;  // guarded by mu
-  std::string error;          // first fatal failure; guarded by mu
-
-  std::atomic<std::size_t> scanned{0}, degraded{0}, unrecoverable{0}, missing{0},
-      corrupt{0}, repaired{0}, repair_failed{0}, stalls{0};
-  std::atomic<std::uint64_t> bytes_read{0}, bytes_written{0};
-
-  bool has_fatal() {
-    std::lock_guard<std::mutex> lock(mu);
-    return !error.empty();
-  }
-  void fatal(std::string message) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (error.empty()) error = std::move(message);
-  }
-  void retire() {
-    // Notify under the lock: once in_flight hits 0 a racing drain returns
-    // and this stack-allocated Pass is destroyed.
-    std::lock_guard<std::mutex> lock(mu);
-    --in_flight;
-    cv.notify_all();
-  }
+  std::atomic<std::size_t> repaired{0}, repair_failed{0};
+  StripeRing ring;
 };
 
 Scrubber::Scrubber(Codec& codec, ScrubOptions options)
-    : codec_(codec), options_(std::move(options)) {
+    : codec_(codec),
+      options_(std::move(options)),
+      engine_(io::engine_or_create(options_.engine, options_.backend, options_.io,
+                                   owned_engine_)),
+      staging_(*engine_, false),
+      reader_(codec_, *engine_, staging_, options_.direct),
+      writer_(staging_),
+      bucket_(options_.rate_mbps, options_.burst_bytes) {
   if (options_.stripes_in_flight == 0) options_.stripes_in_flight = 1;
-  if (options_.engine) {
-    engine_ = options_.engine;
-  } else {
-    const io::Backend requested = options_.backend == io::Backend::kAuto
-                                      ? io::backend_from_env()
-                                      : options_.backend;
-    owned_engine_ = io::Engine::create(requested, options_.io);
-    engine_ = owned_engine_.get();
-  }
   background_report_.ok = background_report_.completed = true;
 }
 
@@ -146,7 +99,7 @@ ScrubReport Scrubber::rebuild_device(const std::string& store_dir, std::size_t d
   return run_pass(store_dir, device);
 }
 
-void Scrubber::pace(Pass& pass, std::size_t bytes) {
+bool Scrubber::pace(std::size_t bytes) {
   using clock = std::chrono::steady_clock;
   bool stalled = false;
   // Idle-slot gate: foreground pressure is Codec jobs beyond this
@@ -155,44 +108,20 @@ void Scrubber::pace(Pass& pass, std::size_t bytes) {
   auto gated = [&] {
     if (options_.hold) return options_.hold();
     if (!options_.yield_to_foreground) return false;
-    return codec_.jobs_in_flight() > own_jobs_.load(std::memory_order_relaxed);
+    return codec_.jobs_in_flight() > reader_.decodes_in_flight();
   };
   const auto gate_deadline = clock::now() + options_.max_stall;
   while (!stop_.load(std::memory_order_relaxed) && gated() && clock::now() < gate_deadline) {
     stalled = true;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  // Token bucket on scanned bytes: refill at rate, spend per stripe, sleep
-  // off the deficit in short slices so stop() stays responsive.
-  if (options_.rate_mbps > 0.0) {
-    const double rate = options_.rate_mbps * 1024.0 * 1024.0;
-    const double burst = std::max<double>(options_.burst_bytes, static_cast<double>(bytes));
-    while (!stop_.load(std::memory_order_relaxed)) {
-      double deficit_s = 0.0;
-      {
-        std::lock_guard<std::mutex> lock(bucket_mu_);
-        const auto now = clock::now();
-        if (bucket_refill_ == clock::time_point{}) bucket_refill_ = now;
-        tokens_ = std::min(burst,
-                           tokens_ + std::chrono::duration<double>(now - bucket_refill_).count() * rate);
-        bucket_refill_ = now;
-        if (tokens_ >= static_cast<double>(bytes)) {
-          tokens_ -= static_cast<double>(bytes);
-          break;
-        }
-        deficit_s = (static_cast<double>(bytes) - tokens_) / rate;
-      }
-      stalled = true;
-      std::this_thread::sleep_for(std::chrono::duration<double>(std::min(deficit_s, 0.01)));
-    }
-  }
-  // Cluster-wide cap last: an array throttled by its own bucket should not
-  // hold shared tokens it cannot spend yet.
-  if (options_.shared_bandwidth &&
-      options_.shared_bandwidth->acquire(
-          bytes, [this] { return stop_.load(std::memory_order_relaxed); }))
+  // Own bucket first, cluster-wide cap last: an array throttled by its own
+  // bucket should not hold shared tokens it cannot spend yet.
+  const auto stopping = [this] { return stop_.load(std::memory_order_relaxed); };
+  if (bucket_.acquire(bytes, stopping)) stalled = true;
+  if (options_.shared_bandwidth && options_.shared_bandwidth->acquire(bytes, stopping))
     stalled = true;
-  if (stalled) pass.stalls.fetch_add(1, std::memory_order_relaxed);
+  return stalled;
 }
 
 ScrubReport Scrubber::run_pass(const std::string& store_dir,
@@ -205,87 +134,72 @@ ScrubReport Scrubber::run_pass(const std::string& store_dir,
     rep.error = e.what();
     return rep;
   }
-  const StairCode& code = codec_.code();
-  if (!(store.cfg == code.config())) {
-    rep.error = "store config " + store.cfg.to_string() + " does not match codec config " +
-                code.config().to_string();
-    return rep;
-  }
+  rep.error = store.config_mismatch(codec_.code().config());
+  if (!rep.error.empty()) return rep;
   if (rebuild && *rebuild >= store.cfg.n) {
     rep.error = "rebuild device out of range";
     return rep;
   }
 
-  Pass pass;
-  pass.store = &store;
-  pass.dir = store_dir;
-  pass.rebuild = rebuild;
-  pass.repair = rebuild ? true : options_.repair;
-  pass.read_phase = rebuild ? io::IoPhase::kRebuild : io::IoPhase::kScrub;
-  pass.symbol_bytes = store.symbol_bytes;
-  pass.chunk_bytes = store.chunk_bytes();
-  pass.padded_chunk = store.padded_chunk_bytes();
-  // Direct only engages on padded stores: a legacy (block 1) layout has no
-  // alignment to offer, so it always reads buffered regardless of the knob.
-  pass.dev_mode = options_.direct && store.block_bytes > 1 ? io::OpenMode::kDirect
-                                                          : io::OpenMode::kBuffered;
-  // One pass runs at a time per Scrubber, so swapping the staging pool at
-  // pass start is safe (outstanding leases pin the old backing store).
-  const std::size_t align = std::max<std::size_t>(store.block_bytes, 64);
-  if (!buffers_ || buffers_->buffer_bytes() < pass.padded_chunk ||
-      buffers_->alignment() != align)
-    buffers_ = std::make_unique<IoBufferPool>(
-        pass.padded_chunk, align, options_.stripes_in_flight * store.cfg.n);
+  // One pass runs at a time per Scrubber, so re-sizing the staging at pass
+  // start is safe (outstanding leases pin the old backing store).
+  staging_.reserve(store, options_.stripes_in_flight * store.cfg.n);
+  Pass pass(store, store_dir, rebuild, slots_, options_.stripes_in_flight);
+  // Chunk reads and the rebuild target take whole aligned transfers only,
+  // so they open direct-capable; sector-patch fds stay buffered.
+  const io::OpenMode mode = store.open_mode(options_.direct);
   pass.read_fds.assign(store.cfg.n, -1);
   pass.write_fds.assign(store.cfg.n, -2);
   for (std::size_t j = 0; j < store.cfg.n; ++j) {
     if (rebuild && *rebuild == j) continue;  // target column is re-derived
-    pass.read_fds[j] =
-        engine_->open_read(StripeStore::device_path(store_dir, j), pass.dev_mode);
+    pass.read_fds[j] = engine_->open_read(StripeStore::device_path(store_dir, j), mode);
   }
   if (rebuild) {
     // The target file is recreated from scratch (truncate): every chunk is
-    // about to be reconstructed and written back in stripe order. It only
-    // ever takes whole padded-chunk writes from aligned staging, so it is
-    // direct-capable like the read side.
-    pass.write_fds[*rebuild] = engine_->open_write(
-        StripeStore::device_path(store_dir, *rebuild), pass.dev_mode);
+    // about to be reconstructed and written back in stripe order.
+    pass.write_fds[*rebuild] =
+        engine_->open_write(StripeStore::device_path(store_dir, *rebuild), mode);
     if (pass.write_fds[*rebuild] < 0)
-      pass.fatal("cannot recreate " + StripeStore::device_path(store_dir, *rebuild));
+      pass.ring.fail("cannot recreate " + StripeStore::device_path(store_dir, *rebuild));
   }
 
+  const StripeReader::Plan plan{.erase = rebuild, .decode = rebuild || options_.repair};
+  std::size_t scanned = 0, stalls = 0;
   for (std::size_t s = 0; s < store.stripes; ++s) {
-    if (stop_.load(std::memory_order_relaxed) || pass.has_fatal()) break;
-    pace(pass, store.cfg.n * pass.padded_chunk);
+    if (stop_.load(std::memory_order_relaxed) || pass.ring.failed()) break;
+    if (pace(store.cfg.n * store.padded_chunk_bytes())) ++stalls;
     if (stop_.load(std::memory_order_relaxed)) break;
-    scan_stripe(pass, s);
-  }
-  {
-    std::unique_lock<std::mutex> lock(pass.mu);
-    pass.cv.wait(lock, [&] { return pass.in_flight == 0; });
+    StripeRing::Lease slot = pass.ring.acquire();
+    ++scanned;
+    io::PhaseScope phase(rebuild ? io::IoPhase::kRebuild : io::IoPhase::kScrub);
+    reader_.read(pass.ring, std::move(slot), store, pass.read_fds, s, plan,
+                 [this, &pass, s](StripeRing::Lease slot) {
+                   // Clean stripes, detect-only passes and damage outside
+                   // coverage (counted by the reader) write nothing.
+                   if (slot->recovered && (slot->damaged || pass.rebuild))
+                     repair_stripe(pass, std::move(slot), s);
+                 });
   }
   // No engine flush: every transfer this pass submitted has retired through
-  // its slot countdown, and flushing would also wait out unrelated
-  // foreground IO on a shared engine.
+  // its slot lease, and flushing would also wait out unrelated foreground IO
+  // on a shared engine.
+  pass.ring.drain();
   for (int fd : pass.read_fds) engine_->close(fd);
   for (int fd : pass.write_fds)
     if (fd >= 0) engine_->close(fd);
 
   rep.stripes = store.stripes;
-  rep.stripes_scanned = pass.scanned.load();
-  rep.stripes_degraded = pass.degraded.load();
-  rep.stripes_unrecoverable = pass.unrecoverable.load();
-  rep.chunks_missing = pass.missing.load();
-  rep.sectors_corrupt = pass.corrupt.load();
+  rep.stripes_scanned = scanned;
+  rep.stripes_degraded = pass.ring.degraded.load();
+  rep.stripes_unrecoverable = pass.ring.unrecoverable.load();
+  rep.chunks_missing = pass.ring.missing.load();
+  rep.sectors_corrupt = pass.ring.corrupt.load();
   rep.sectors_repaired = pass.repaired.load();
   rep.repair_failures = pass.repair_failed.load();
-  rep.throttle_stalls = pass.stalls.load();
-  rep.bytes_read = pass.bytes_read.load();
-  rep.bytes_written = pass.bytes_written.load();
-  {
-    std::lock_guard<std::mutex> lock(pass.mu);
-    rep.error = pass.error;
-  }
+  rep.throttle_stalls = stalls;
+  rep.bytes_read = pass.ring.bytes_read.load();
+  rep.bytes_written = pass.ring.bytes_written.load();
+  rep.error = pass.ring.error();
   if (rep.error.empty() && rep.sectors_repaired > 0) {
     // Repair rewrote store content to its manifest-proven state; re-saving
     // refreshes the recovery point canonically (atomic temp + rename).
@@ -300,247 +214,69 @@ ScrubReport Scrubber::run_pass(const std::string& store_dir,
   return rep;
 }
 
-void Scrubber::scan_stripe(Pass& pass, std::size_t stripe) {
-  {
-    std::unique_lock<std::mutex> lock(pass.mu);
-    pass.cv.wait(lock, [&] { return pass.in_flight < options_.stripes_in_flight; });
-    ++pass.in_flight;
-  }
-  WorkspacePool<Slot>::Lease slot = slots_.acquire();
-  const StairConfig& cfg = pass.store->cfg;
-  if (!slot->buf || slot->buf->symbol_size() != pass.symbol_bytes)
-    slot->buf.emplace(codec_.code(), pass.symbol_bytes);
-  slot->chunks.resize(cfg.n);
-  for (auto& lease : slot->chunks)
-    if (!lease || lease->bytes < pass.padded_chunk) lease = buffers_->acquire();
-  slot->results.assign(cfg.n, io::Result{});
-  slot->sector_bad.assign(cfg.r * cfg.n, 0);
-  slot->pending.store(cfg.n, std::memory_order_relaxed);
-  pass.scanned.fetch_add(1, std::memory_order_relaxed);
-
-  Slot* raw = slot.get();
-  io::PhaseScope phase(pass.read_phase);
-  for (std::size_t j = 0; j < cfg.n; ++j) {
-    auto complete = [this, &pass, slot, stripe, j](const io::Result& r) mutable {
-      slot->results[j] = r;  // devices are disjoint; countdown publishes
-      // Verify (r checksum passes) is real work: bounce it onto the codec
-      // pool so engine completion threads keep completing IO. Per chunk, not
-      // per stripe — the bytes are hashed while they are still warm.
-      codec_.pool().submit([this, &pass, slot = std::move(slot), stripe, j]() mutable {
-        verify_chunk(pass, std::move(slot), stripe, j);
-      });
-    };
-    if (pass.read_fds[j] < 0) {
-      complete(io::Result{ENOENT, 0});
-    } else {
-      engine_->read(pass.read_fds[j], pass.store->chunk_offset(stripe),
-                    std::span(raw->chunks[j]->data, pass.padded_chunk), complete);
-    }
-  }
-}
-
-void Scrubber::verify_chunk(Pass& pass, WorkspacePool<Slot>::Lease slot,
-                            std::size_t stripe, std::size_t device) {
-  Slot& sl = *slot;
-  const StairConfig& cfg = pass.store->cfg;
-  const std::size_t j = device;
-  const bool is_target = pass.rebuild && *pass.rebuild == j;
-  const io::Result& r = sl.results[j];
-  if (!is_target && r.error == 0 && r.bytes == pass.padded_chunk) {
-    const std::uint8_t* data = sl.chunks[j]->data;
-    for (std::size_t i = 0; i < cfg.r; ++i) {
-      std::span<const std::uint8_t> sec(data + i * pass.symbol_bytes, pass.symbol_bytes);
-      const bool bad =
-          content_hash64(sec) != pass.store->sector_checksum(stripe, j, i);
-      sl.sector_bad[i * cfg.n + j] = bad ? 1 : 0;
-      // When decode cannot run zero-copy over the staging (odd symbol
-      // size), rebuild stages surviving sectors into the stripe buffer
-      // here, warm — every rebuild stripe decodes. Scrub passes defer the
-      // copy to assemble_stripe, paying it only on the rare damaged stripe.
-      if (pass.rebuild && !bad && pass.symbol_bytes % 64 != 0)
-        std::memcpy(sl.buf->symbol(i, j).data(), sec.data(), pass.symbol_bytes);
-    }
-  }
-  if (sl.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    assemble_stripe(pass, std::move(slot), stripe);
-}
-
-void Scrubber::assemble_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
-                               std::size_t stripe) {
-  try {
-    const StairConfig& cfg = pass.store->cfg;
-    Slot& sl = *slot;
-    sl.mask.assign(cfg.r * cfg.n, false);
-    bool damage = false;  // damage beyond the rebuild premise
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      const bool is_target = pass.rebuild && *pass.rebuild == j;
-      const io::Result& r = sl.results[j];
-      if (!is_target) pass.bytes_read.fetch_add(r.bytes, std::memory_order_relaxed);
-      if (is_target || r.error != 0 || r.bytes != pass.padded_chunk) {
-        for (std::size_t i = 0; i < cfg.r; ++i) sl.mask[i * cfg.n + j] = true;
-        if (!is_target) {
-          pass.missing.fetch_add(1, std::memory_order_relaxed);
-          damage = true;
-        }
-        continue;
-      }
-      for (std::size_t i = 0; i < cfg.r; ++i) {
-        if (sl.sector_bad[i * cfg.n + j]) {
-          pass.corrupt.fetch_add(1, std::memory_order_relaxed);
-          sl.mask[i * cfg.n + j] = true;
-          damage = true;
-        }
-      }
-    }
-    if (damage) pass.degraded.fetch_add(1, std::memory_order_relaxed);
-    const bool masked = damage || pass.rebuild.has_value();
-    if (!masked || !pass.repair) {
-      if (masked && !pass.repair) {
-        // Detect-only scrub still reports coverage misses.
-        if (!codec_.code().is_recoverable(sl.mask))
-          pass.unrecoverable.fetch_add(1, std::memory_order_relaxed);
-      }
-      slot.reset();
-      pass.retire();
-      return;
-    }
-    // Decode zero-copy where the layout allows it: surviving symbols are
-    // read straight out of the aligned staging leases (still warm from the
-    // hash pass) and only the reconstructed symbols land in the stripe
-    // buffer. The 64-byte guard keeps kernel and altmap regions on the
-    // alignment every other call site gives them; odd symbol sizes take the
-    // staging copy instead.
-    StripeView view = sl.buf->view();
-    const bool zero_copy = pass.symbol_bytes % 64 == 0;
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      const io::Result& r = sl.results[j];
-      if (r.error != 0 || r.bytes != pass.padded_chunk) continue;
-      if (pass.rebuild && *pass.rebuild == j) continue;
-      for (std::size_t i = 0; i < cfg.r; ++i) {
-        if (sl.mask[i * cfg.n + j]) continue;
-        if (zero_copy)
-          view.stored[i * cfg.n + j] =
-              std::span(sl.chunks[j]->data + i * pass.symbol_bytes, pass.symbol_bytes);
-        else if (!pass.rebuild)  // rebuild staged these warm in verify_chunk
-          std::memcpy(sl.buf->symbol(i, j).data(),
-                      sl.chunks[j]->data + i * pass.symbol_bytes, pass.symbol_bytes);
-      }
-    }
-    own_jobs_.fetch_add(1, std::memory_order_relaxed);
-    // The degraded read resolves through the session plan cache: a rebuild
-    // (or a recurring corruption shape) pays one inversion for the epoch.
-    codec_.submit_decode(view, sl.mask,
-                         [this, &pass, slot = std::move(slot), stripe](bool ok) mutable {
-                           own_jobs_.fetch_sub(1, std::memory_order_relaxed);
-                           if (!ok) {
-                             // Outside coverage: counted, never thrown.
-                             pass.unrecoverable.fetch_add(1, std::memory_order_relaxed);
-                             slot.reset();
-                             pass.retire();
-                             return;
-                           }
-                           repair_stripe(pass, std::move(slot), stripe);
-                         });
-  } catch (const std::exception& e) {
-    pass.fatal(std::string("scrub verify failed: ") + e.what());
-    slot.reset();
-    pass.retire();
-  }
-}
-
-void Scrubber::repair_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot,
-                             std::size_t stripe) {
-  try {
-    const StairConfig& cfg = pass.store->cfg;
-    Slot& sl = *slot;
-    // Re-verify before rewrite: every reconstructed sector must match its
-    // manifest checksum, or the repair writes nothing — a scrubber must
-    // never "repair" a store with bytes it cannot prove.
-    for (std::size_t j = 0; j < cfg.n; ++j)
-      for (std::size_t i = 0; i < cfg.r; ++i)
-        if (sl.mask[i * cfg.n + j] &&
-            content_hash64(sl.buf->symbol(i, j)) !=
-                pass.store->sector_checksum(stripe, j, i)) {
-          pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
-          slot.reset();
-          pass.retire();
-          return;
-        }
-
-    // Plan the write set per device: a fully-masked column rewrites its
-    // chunk in one transfer (gathered into the chunk staging), scattered
-    // sector hits are patched individually straight from the stripe buffer.
-    struct WriteOp {
-      int fd;
-      std::uint64_t offset;
-      std::span<const std::uint8_t> bytes;
-      std::size_t sectors;
-    };
-    std::vector<WriteOp> writes;
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      std::size_t masked = 0;
-      for (std::size_t i = 0; i < cfg.r; ++i) masked += sl.mask[i * cfg.n + j];
-      if (masked == 0) continue;
-      int fd;
-      {
-        std::lock_guard<std::mutex> lock(pass.fd_mu);
-        if (pass.write_fds[j] == -2)
-          pass.write_fds[j] = engine_->open_update(StripeStore::device_path(pass.dir, j));
-        fd = pass.write_fds[j];
-      }
-      if (fd < 0) {
+void Scrubber::repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t stripe) {
+  const StripeStore& store = pass.store;
+  const std::size_t n = store.cfg.n, r = store.cfg.r, symbol = store.symbol_bytes;
+  const StripeView& view = slot->view;
+  const std::vector<bool>& mask = slot->mask;
+  // Re-verify before rewrite: every reconstructed sector must match its
+  // manifest checksum, or the repair writes nothing — a scrubber must never
+  // "repair" a store with bytes it cannot prove.
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < r; ++i)
+      if (mask[i * n + j] &&
+          content_hash64(view.stored[i * n + j]) != store.sector_checksum(stripe, j, i)) {
         pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
-        continue;
+        return;
       }
-      if (masked == cfg.r) {
-        // Whole chunk in one padded transfer from the aligned staging (pad
-        // tail zeroed — the store is byte-identical across modes), which is
-        // also what keeps the rebuild target's O_DIRECT fd happy.
-        IoBuffer& chunk = *sl.chunks[j];
-        for (std::size_t i = 0; i < cfg.r; ++i)
-          std::memcpy(chunk.data + i * pass.symbol_bytes, sl.buf->symbol(i, j).data(),
-                      pass.symbol_bytes);
-        if (pass.padded_chunk > pass.chunk_bytes)
-          std::memset(chunk.data + pass.chunk_bytes, 0,
-                      pass.padded_chunk - pass.chunk_bytes);
-        writes.push_back({fd, pass.store->chunk_offset(stripe),
-                          std::span<const std::uint8_t>(chunk.data, pass.padded_chunk),
-                          cfg.r});
-      } else {
-        for (std::size_t i = 0; i < cfg.r; ++i)
-          if (sl.mask[i * cfg.n + j])
-            writes.push_back({fd,
-                              pass.store->chunk_offset(stripe) + i * pass.symbol_bytes,
-                              std::span<const std::uint8_t>(sl.buf->symbol(i, j)), 1});
-      }
+
+  // The write set per device: a fully-erased column is rewritten as one
+  // padded chunk through the writer, scattered sector hits are patched in
+  // place straight from the reconstruction. Every write holds the lease, so
+  // the stripe leaves the ring once the last one retires.
+  io::PhaseScope phase(io::IoPhase::kRepair);
+  std::vector<int> whole(n, -1);
+  std::size_t whole_sectors = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    std::size_t masked = 0;
+    for (std::size_t i = 0; i < r; ++i) masked += mask[i * n + j];
+    if (masked == 0) continue;
+    int fd;
+    {
+      std::lock_guard<std::mutex> lock(pass.fd_mu);
+      if (pass.write_fds[j] == -2)
+        pass.write_fds[j] = engine_->open_update(StripeStore::device_path(pass.dir, j));
+      fd = pass.write_fds[j];
     }
-    if (writes.empty()) {
-      slot.reset();
-      pass.retire();
-      return;
+    if (fd < 0) {
+      pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
-    sl.pending.store(writes.size(), std::memory_order_relaxed);
-    io::PhaseScope phase(io::IoPhase::kRepair);
-    for (const WriteOp& w : writes) {
-      engine_->write(w.fd, w.offset, w.bytes,
-                     [this, &pass, slot, len = w.bytes.size(),
-                      sectors = w.sectors](const io::Result& r) mutable {
-                       pass.bytes_written.fetch_add(r.bytes, std::memory_order_relaxed);
-                       if (r.error || r.bytes < len)
+    if (masked == r) {
+      whole[j] = fd;
+      whole_sectors += r;
+      continue;
+    }
+    for (std::size_t i = 0; i < r; ++i) {
+      if (!mask[i * n + j]) continue;
+      engine_->write(fd, store.chunk_offset(stripe) + i * symbol, view.stored[i * n + j],
+                     [&pass, slot, symbol](const io::Result& res) {
+                       pass.ring.bytes_written.fetch_add(res.bytes, std::memory_order_relaxed);
+                       if (!res.ok() || res.bytes < symbol)
                          pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
                        else
-                         pass.repaired.fetch_add(sectors, std::memory_order_relaxed);
-                       if (slot->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                         slot.reset();
-                         pass.retire();
-                       }
+                         pass.repaired.fetch_add(1, std::memory_order_relaxed);
                      });
     }
-  } catch (const std::exception& e) {
-    pass.fatal(std::string("scrub repair failed: ") + e.what());
-    slot.reset();
-    pass.retire();
   }
+  if (whole_sectors > 0)
+    writer_.write(pass.ring, slot, store, view, whole, stripe, {},
+                  [&pass, whole_sectors](int err) {
+                    if (err)
+                      pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
+                    else
+                      pass.repaired.fetch_add(whole_sectors, std::memory_order_relaxed);
+                  });
 }
 
 void Scrubber::start(const std::string& store_dir, std::chrono::milliseconds pass_gap) {

@@ -2,35 +2,35 @@
 //
 // sim/scrubber.h models *when* latent sector errors should be hunted; this
 // is the loop that hunts them. A Scrubber walks a StripeStore through the
-// same verify path the IO pipeline uses for degraded reads — per-sector
-// manifest checksums surface latent errors (bit rot, torn writes, vanished
-// chunks) — and escalates every hit into a targeted repair:
+// one stripe reader every read path uses (stair/stripe_engine.h) —
+// per-sector manifest checksums surface latent errors (bit rot, torn
+// writes, vanished chunks) — and escalates every hit into a targeted repair:
 //
-//   scrub:   read(n chunks k) ─▶ [verify every sector, build erasure mask]
+//   scrub:   StripeReader (n chunks, verify each warm, erasure mask)
 //              ├─ clean: retire
-//              └─ hit:  submit_decode via the session DecodePlanCache
+//              └─ hit:  decode via the session DecodePlanCache
 //                         ─▶ re-verify reconstruction against the manifest
 //                         ─▶ write ONLY the damaged sectors back in place
-//   rebuild: the same walk with one device's column pre-masked and its file
+//   rebuild: the same walk with one device's column pre-erased and its file
 //            recreated — a bounded-concurrency stream of degraded reads +
-//            re-encodes, paced exactly like scrub.
+//            whole-chunk writes through the StripeWriter, paced like scrub.
 //
 // Pacing, because scrub is a guest on a serving node: a token bucket on
-// scanned bytes (rate_mbps / burst) bounds sustained disk traffic, an
-// idle-slot gate holds the next stripe while the Codec is busy with
-// foreground jobs (bounded by max_stall so scrub always makes progress),
-// and stripes_in_flight bounds the ring exactly like IoPipeline's
-// queue_depth. sim::pass_rate_mbps converts a ScrubPolicy period into the
-// rate knob.
+// scanned bytes (rate_mbps / burst — a private SharedBandwidth) bounds
+// sustained disk traffic, an idle-slot gate holds the next stripe while the
+// Codec is busy with foreground jobs (bounded by max_stall so scrub always
+// makes progress), and stripes_in_flight bounds the StripeRing exactly like
+// IoPipeline's queue_depth. sim::pass_rate_mbps converts a ScrubPolicy
+// period into the rate knob.
 //
-// Repair is write-minimal and checked: reconstruction happens in a leased
-// stripe slot, every reconstructed sector is verified against its manifest
-// checksum *before* any write is issued (a repair must never write bytes it
-// cannot prove), sectors are patched in place through Engine::open_update
-// (no truncation — healthy sectors are untouched), and a fully-masked
-// column writes one whole chunk instead of r sector writes. After a pass
-// that repaired anything the manifest is re-saved (atomic temp + rename),
-// refreshing the store's recovery point.
+// Repair is write-minimal and checked: every reconstructed sector is
+// verified against its manifest checksum *before* any write is issued (a
+// repair must never write bytes it cannot prove), scattered sectors are
+// patched in place through Engine::open_update (no truncation — healthy
+// sectors are untouched), and a fully-erased column is rewritten as one
+// padded chunk by the StripeWriter. After a pass that repaired anything the
+// manifest is re-saved (atomic temp + rename), refreshing the store's
+// recovery point.
 //
 // Submissions are phase-tagged (io::PhaseScope): scrub reads carry kScrub,
 // rebuild reads kRebuild, repair writes kRepair — which is what lets the
@@ -39,8 +39,8 @@
 // admission layer can prioritize on.
 //
 // A Scrubber shares the Codec (and optionally the Engine) with foreground
-// pipelines; start()/stop() run passes on a background thread for
-// continuous scrubbing. One pass at a time per Scrubber.
+// readers; start()/stop() run passes on a background thread for continuous
+// scrubbing. One pass at a time per Scrubber.
 #pragma once
 
 #include <atomic>
@@ -55,7 +55,7 @@
 #include <thread>
 
 #include "stair/codec.h"
-#include "stair/io_pipeline.h"
+#include "stair/stripe_engine.h"
 #include "util/stripe_io.h"
 #include "util/workspace_pool.h"
 
@@ -192,42 +192,29 @@ class Scrubber {
   std::size_t slots_created() const { return slots_.created(); }
 
  private:
-  struct Slot;
   struct Pass;
 
   ScrubReport run_pass(const std::string& store_dir,
                        std::optional<std::size_t> rebuild_device);
-  void scan_stripe(Pass& pass, std::size_t stripe);
-  /// Hashes chunk `device` of `stripe` right after its read completes —
-  /// while the bytes are still warm in cache — recording per-sector verdicts
-  /// into the slot. The last chunk to finish runs assemble_stripe. (One
-  /// whole-stripe verify task after all n reads re-touches ~n chunks cold;
-  /// at depth > 1 those re-touches thrash and rebuild throughput *drops* as
-  /// stripes_in_flight rises. Per-chunk verify is the fix.)
-  void verify_chunk(Pass& pass, WorkspacePool<Slot>::Lease slot,
-                    std::size_t stripe, std::size_t device);
-  void assemble_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot, std::size_t stripe);
-  void repair_stripe(Pass& pass, WorkspacePool<Slot>::Lease slot, std::size_t stripe);
-  void pace(Pass& pass, std::size_t bytes);
+  void repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t stripe);
+  /// Idle-slot gate, then this Scrubber's token bucket, then the shared
+  /// cap; true when any of them held the walk (a throttle stall).
+  bool pace(std::size_t bytes);
 
   Codec& codec_;
   ScrubOptions options_;
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_;
-  WorkspacePool<Slot> slots_;
+  WorkspacePool<StripeSlot> slots_;
   /// Aligned chunk staging (sized per pass). Deliberately NOT registered
   /// with the engine: the engine holds one registered set and it belongs to
   /// the foreground pipeline; scrub is a guest and takes plain transfers on
   /// aligned buffers (O_DIRECT still works — alignment is what it needs).
-  std::unique_ptr<IoBufferPool> buffers_;
-  /// This Scrubber's own decode jobs in flight — what the idle-slot gate
-  /// subtracts from Codec::jobs_in_flight() to see *foreground* pressure.
-  std::atomic<std::size_t> own_jobs_{0};
-
-  // Token bucket (guarded by bucket_mu_).
-  std::mutex bucket_mu_;
-  double tokens_ = 0.0;
-  std::chrono::steady_clock::time_point bucket_refill_{};
+  ChunkStaging staging_;
+  StripeReader reader_;
+  StripeWriter writer_;
+  /// Token bucket on scanned bytes (rate_mbps / burst_bytes).
+  SharedBandwidth bucket_;
 
   // Background loop.
   std::thread loop_;

@@ -48,7 +48,7 @@ const Response& StorageNode::Future::wait() const {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler storage + per-worker scratch
+// Scheduler storage
 // ---------------------------------------------------------------------------
 
 struct StorageNode::Queues {
@@ -60,16 +60,6 @@ struct StorageNode::Queues {
     for (const auto& d : q[t]) total += d.size();
     return total;
   }
-};
-
-struct StorageNode::WriteSlot {
-  /// Stripe coding scratch, sized for the session geometry on first write.
-  std::unique_ptr<StripeBuffer> stripe;
-  /// Full-width data staging (tail-stripe payloads are shorter than the
-  /// stripe's data extent; the remainder must encode as zeros).
-  AlignedBuffer data;
-  /// Batch-read staging: the union stripe span a read batch shares.
-  std::vector<std::uint8_t> span;
 };
 
 // ---------------------------------------------------------------------------
@@ -134,38 +124,26 @@ StorageNode::~StorageNode() {
 void StorageNode::start() {
   if (started_) throw std::runtime_error("StorageNode: already started");
   store_ = StripeStore::load(store_dir_);
-  if (!(store_.cfg == codec_.code().config())) {
-    throw std::runtime_error("StorageNode: store config " + store_.cfg.to_string() +
-                             " does not match codec config " +
-                             codec_.code().config().to_string());
-  }
+  const std::string mismatch = store_.config_mismatch(codec_.code().config());
+  if (!mismatch.empty()) throw std::runtime_error("StorageNode: " + mismatch);
   stripe_data_ = codec_.code().data_symbol_count() * store_.symbol_bytes;
 
-  const StairLayout& layout = codec_.code().layout();
-  data_positions_.clear();
-  data_positions_.reserve(layout.data_ids().size());
-  for (std::uint32_t id : layout.data_ids())
-    data_positions_.emplace_back(layout.row_of(id), layout.col_of(id));
+  data_positions_ = StripeStore::data_positions(codec_.code().layout());
 
   // Per-stripe data-hash folds, maintained incrementally by the write path so
   // flush_manifest never re-reads content bytes.
   stripe_hashes_.assign(store_.stripes, 0);
-  for (std::size_t s = 0; s < store_.stripes; ++s) stripe_hashes_[s] = stripe_hash(s);
+  for (std::size_t s = 0; s < store_.stripes; ++s)
+    stripe_hashes_[s] = store_.stripe_data_hash(s, data_positions_);
 
-  if (options_.io.engine) {
-    engine_ = options_.io.engine;
-  } else {
-    owned_engine_ = io::Engine::create(options_.io.backend, options_.io.io);
-    engine_ = owned_engine_.get();
-  }
+  engine_ = io::engine_or_create(options_.io.engine, options_.io.backend, options_.io.io,
+                                 owned_engine_);
 
-  // Long-lived write-path fds. O_DIRECT only when the layout is padded (a
-  // block-1 legacy store has no alignment to offer), mirroring the pipeline.
-  const bool direct = options_.io.direct && store_.block_bytes > 1;
-  const io::OpenMode mode = direct ? io::OpenMode::kDirect : io::OpenMode::kBuffered;
+  // Long-lived write-path fds.
   dev_fds_.assign(store_.cfg.n, -1);
   for (std::size_t j = 0; j < store_.cfg.n; ++j) {
-    dev_fds_[j] = engine_->open_update(StripeStore::device_path(store_dir_, j), mode);
+    dev_fds_[j] = engine_->open_update(StripeStore::device_path(store_dir_, j),
+                                       store_.open_mode(options_.io.direct));
     if (dev_fds_[j] < 0) {
       const int err = errno;
       for (int fd : dev_fds_)
@@ -181,21 +159,12 @@ void StorageNode::start() {
   if (workers == 0)
     workers = std::min<std::size_t>(4, std::max<std::size_t>(2, codec_.pool().concurrency()));
 
-  // One pipeline per worker: read_range mutates per-pipeline staging on first
-  // use, and the engine's single registered-buffer set cannot be shared — so
-  // workers never share a pipeline, and none of them registers (fixed off).
-  IoPipeline::Options popt = options_.io;
-  popt.engine = engine_;
-  popt.fixed_buffers = false;
-  pipelines_.clear();
-  write_slots_.clear();
-  for (std::size_t w = 0; w < workers; ++w) {
-    pipelines_.push_back(std::make_unique<IoPipeline>(codec_, popt));
-    write_slots_.push_back(std::make_unique<WriteSlot>());
-  }
-  write_staging_ = std::make_unique<IoBufferPool>(
-      store_.padded_chunk_bytes(), std::max<std::size_t>(store_.block_bytes, 64),
-      workers * store_.cfg.n);
+  // One reader and one writer serve every worker over one staging pool,
+  // sized once here for the store's fixed geometry.
+  staging_ = std::make_unique<ChunkStaging>(*engine_, options_.io.fixed_buffers);
+  staging_->reserve(store_, workers * store_.cfg.n);
+  reader_ = std::make_unique<StripeReader>(codec_, *engine_, *staging_, options_.io.direct);
+  writer_ = std::make_unique<StripeWriter>(*staging_);
 
   range_lock_.resize(store_.stripes);
   queues_ = std::make_unique<Queues>();
@@ -214,7 +183,7 @@ void StorageNode::start() {
 
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w)
-    workers_.emplace_back([this, w] { worker_loop(w); });
+    workers_.emplace_back([this] { worker_loop(); });
 
   if (options_.scrub) {
     ScrubOptions sopt = options_.scrub_options;
@@ -240,10 +209,7 @@ void StorageNode::drain() {
   if (!started_) return;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    if (draining_) {
-      // Second drainer: just wait for quiescence below.
-    }
-    draining_ = true;
+    draining_ = true;  // a second drainer just waits for quiescence below
   }
   // Stop background maintenance first — the remaining queue drains faster
   // with the codec to itself, and the scrubber's hold gate dies with it.
@@ -271,8 +237,9 @@ void StorageNode::stop() {
   for (std::thread& t : workers_) t.join();
   workers_.clear();
   scrubber_.reset();
-  pipelines_.clear();
-  write_staging_.reset();
+  writer_.reset();
+  reader_.reset();
+  staging_.reset();
   for (int fd : dev_fds_) engine_->close(fd);
   dev_fds_.clear();
   stopped_ = true;
@@ -415,7 +382,7 @@ std::vector<StorageNode::StatePtr> StorageNode::next_batch() {
   return batch;
 }
 
-void StorageNode::worker_loop(std::size_t worker) {
+void StorageNode::worker_loop() {
   for (;;) {
     std::vector<StatePtr> batch = next_batch();
     if (batch.empty()) return;
@@ -424,9 +391,9 @@ void StorageNode::worker_loop(std::size_t worker) {
     for (const StatePtr& s : batch) s->dispatched = now;
 
     if (batch[0]->req.type == RequestType::kWrite) {
-      serve_write(worker, batch[0]);
+      serve_write(batch[0]);
     } else {
-      serve_reads(worker, batch);
+      serve_reads(batch);
     }
 
     {
@@ -441,9 +408,7 @@ void StorageNode::worker_loop(std::size_t worker) {
 // Serving
 // ---------------------------------------------------------------------------
 
-void StorageNode::serve_reads(std::size_t worker, std::vector<StatePtr>& batch) {
-  IoPipeline& pipeline = *pipelines_[worker];
-
+void StorageNode::serve_reads(std::vector<StatePtr>& batch) {
   // The union span is the leader's stripe span (riders were chosen inside
   // it); lock it shared so a concurrent stripe write cannot tear the bytes.
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
@@ -455,21 +420,21 @@ void StorageNode::serve_reads(std::size_t worker, std::vector<StatePtr>& batch) 
   const std::size_t s1 = static_cast<std::size_t>((hi - 1) / stripe_data_);
   range_lock_.lock_shared(s0, s1);
 
-  IoPipeline::Stats st;
+  IoStats st;
   if (batch.size() == 1) {
-    st = pipeline.read_range(store_, store_dir_, batch[0]->req.offset, batch[0]->req.out);
+    st = reader_->read_range(store_, store_dir_, batch[0]->req.offset, batch[0]->req.out);
   } else {
     // One shared submission serves the whole batch: read the union span into
-    // worker staging, then scatter each member's sub-range.
-    WriteSlot& slot = *write_slots_[worker];
+    // leased staging, then scatter each member's sub-range.
+    const WorkspacePool<StripeSlot>::Lease span = slots_.acquire();
     const std::uint64_t span_lo = std::uint64_t{s0} * stripe_data_;
     const std::uint64_t span_hi =
         std::min<std::uint64_t>(std::uint64_t{s1 + 1} * stripe_data_, store_.file_size);
-    slot.span.resize(static_cast<std::size_t>(span_hi - span_lo));
-    st = pipeline.read_range(store_, store_dir_, span_lo, slot.span);
+    span->data.resize(static_cast<std::size_t>(span_hi - span_lo));
+    st = reader_->read_range(store_, store_dir_, span_lo, span->data);
     if (st.ok) {
       for (const StatePtr& s : batch) {
-        std::memcpy(s->req.out.data(), slot.span.data() + (s->req.offset - span_lo),
+        std::memcpy(s->req.out.data(), span->data.data() + (s->req.offset - span_lo),
                     s->req.out.size());
       }
     }
@@ -492,88 +457,49 @@ void StorageNode::serve_reads(std::size_t worker, std::vector<StatePtr>& batch) 
   }
 }
 
-void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
+void StorageNode::serve_write(const StatePtr& state) {
   const Request& req = state->req;
   const StairConfig& cfg = store_.cfg;
-  WriteSlot& slot = *write_slots_[worker];
-  Response resp;
-
-  if (!slot.stripe) {
-    slot.stripe = std::make_unique<StripeBuffer>(codec_.code(), store_.symbol_bytes);
-    slot.data = AlignedBuffer(slot.stripe->data_size());
-  }
-
-  // Stage the payload at full stripe width (tail stripes encode zero-padded,
-  // exactly like encode_file laid them down).
-  std::memcpy(slot.data.data(), req.data.data(), req.data.size());
-  if (req.data.size() < slot.data.size())
-    std::memset(slot.data.data() + req.data.size(), 0, slot.data.size() - req.data.size());
-  slot.stripe->set_data(slot.data.span());
-
-  range_lock_.lock_exclusive(req.stripe);
-
-  Codec::Handle encoded = codec_.submit_encode(slot.stripe->view());
-  bool ok = true;
+  std::vector<std::uint64_t> new_checksums(cfg.n * cfg.r);
   std::string error;
-  try {
-    encoded.wait();
-  } catch (const std::exception& e) {
-    ok = false;
-    error = e.what();
-  }
 
-  std::vector<std::uint64_t> new_checksums;
-  if (ok) {
-    // Gather each device's chunk into aligned staging, hash its sectors, and
-    // rewrite all n chunks in place through the long-lived fds.
-    new_checksums.assign(cfg.n * cfg.r, 0);
-    const std::size_t padded = store_.padded_chunk_bytes();
-    const StripeView& view = slot.stripe->view();
+  StripeRing ring(slots_, 1);
+  {
+    StripeRing::Lease slot = ring.acquire();
+    if (!slot->buf || slot->buf->symbol_size() != store_.symbol_bytes)
+      slot->buf.emplace(codec_.code(), store_.symbol_bytes);
+    // Stage the payload at full stripe width (tail stripes encode
+    // zero-padded, exactly like encode_file laid them down).
+    slot->data.assign(req.data.begin(), req.data.end());
+    slot->data.resize(stripe_data_, 0);
+    slot->buf->set_data(slot->data);
 
-    std::mutex io_mu;
-    std::condition_variable io_cv;
-    std::size_t io_pending = cfg.n;
-    int io_error = 0;
-
-    std::vector<IoBufferPool::Lease> chunks(cfg.n);
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      chunks[j] = write_staging_->acquire();
-      IoBuffer& chunk = *chunks[j];
-      for (std::size_t i = 0; i < cfg.r; ++i) {
-        std::span<const std::uint8_t> sym = view.stored[i * cfg.n + j];
-        std::memcpy(chunk.data + i * store_.symbol_bytes, sym.data(), sym.size());
-        new_checksums[j * cfg.r + i] = content_hash64(sym);
-      }
-      if (padded > store_.chunk_bytes())
-        std::memset(chunk.data + store_.chunk_bytes(), 0, padded - store_.chunk_bytes());
-      engine_->write(dev_fds_[j], store_.chunk_offset(req.stripe),
-                     std::span<const std::uint8_t>(chunk.data, padded),
-                     [&](const io::Result& r) {
-                       std::lock_guard<std::mutex> lock(io_mu);
-                       if (!r.ok() && io_error == 0) io_error = r.error;
-                       if (--io_pending == 0) io_cv.notify_all();
+    range_lock_.lock_exclusive(req.stripe);
+    try {
+      codec_.submit_encode(slot->buf->view()).wait();
+      // Rewrite all n chunks in place through the long-lived fds; the writer
+      // hashes the new sectors on the way.
+      const StripeView& view = slot->buf->view();
+      writer_->write(ring, std::move(slot), store_, view, dev_fds_, req.stripe, new_checksums,
+                     [&error](int err) {
+                       if (err) error = std::string("chunk write failed: ") + std::strerror(err);
                      });
-    }
-    {
-      std::unique_lock<std::mutex> lock(io_mu);
-      io_cv.wait(lock, [&] { return io_pending == 0; });
-    }
-    if (io_error != 0) {
-      ok = false;
-      error = std::string("chunk write failed: ") + std::strerror(io_error);
+    } catch (const std::exception& e) {
+      error = e.what();
     }
   }
+  ring.drain();
 
+  const bool ok = error.empty();
   if (ok) {
     // The store's new truth: sector checksums, this stripe's data fold, the
     // whole-file fold — then the manifest on disk, so the recovery point
     // trails each write by at most one save.
     std::lock_guard<std::mutex> lock(manifest_mu_);
-    for (std::size_t j = 0; j < cfg.n; ++j)
-      for (std::size_t i = 0; i < cfg.r; ++i)
-        store_.sector_checksums[(req.stripe * cfg.n + j) * cfg.r + i] =
-            new_checksums[j * cfg.r + i];
-    stripe_hashes_[req.stripe] = stripe_hash(req.stripe);
+    std::copy(new_checksums.begin(), new_checksums.end(),
+              store_.sector_checksums.begin() +
+                  static_cast<std::ptrdiff_t>(req.stripe * cfg.n * cfg.r));
+    stripe_hashes_[req.stripe] = store_.stripe_data_hash(req.stripe, data_positions_);
     store_.data_checksum = combine_hashes(stripe_hashes_);
     try {
       store_.save(store_dir_);
@@ -587,18 +513,11 @@ void StorageNode::serve_write(std::size_t worker, const StatePtr& state) {
 
   range_lock_.unlock_exclusive(req.stripe);
 
+  Response resp;
   resp.ok = ok;
   resp.error = std::move(error);
   resp.bytes = ok ? req.data.size() : 0;
   complete(state, std::move(resp));
-}
-
-std::uint64_t StorageNode::stripe_hash(std::size_t stripe) const {
-  std::vector<std::uint64_t> hashes;
-  hashes.reserve(data_positions_.size());
-  for (const auto& [row, dev] : data_positions_)
-    hashes.push_back(store_.sector_checksums[(stripe * store_.cfg.n + dev) * store_.cfg.r + row]);
-  return combine_hashes(hashes);
 }
 
 void StorageNode::flush_manifest() {

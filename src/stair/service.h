@@ -36,11 +36,14 @@
 // scheduling and accounting layer a network frontend would sit on, kept
 // transport-free so tests and benches drive it at memory speed.
 //
-// Reads are served sector-granularly through IoPipeline::read_range —
-// including degraded reads during a device rebuild. Writes are
-// stripe-granular: the stripe is re-encoded through the Codec session, all n
-// chunks rewritten, and the manifest's sector checksums and whole-file fold
-// refreshed and re-saved, so a drained store is always self-consistent.
+// The node runs the one stripe engine (stair/stripe_engine.h), shared by
+// all its workers over one chunk staging pool: reads are served
+// sector-granularly through StripeReader::read_range — including degraded
+// reads during a device rebuild, which decode through the session plan
+// cache. Writes are stripe-granular: the stripe is re-encoded through the
+// Codec session, the StripeWriter rewrites all n chunks through long-lived
+// fds, and the manifest's sector checksums and whole-file fold are refreshed
+// and re-saved, so a drained store is always self-consistent.
 // Stripe-range locks order concurrent reads and writes of the same stripes;
 // a write racing a scrub pass is safe by the Scrubber's proven-before-write
 // rule (a stale-manifest reconstruction cannot pass re-verification, so the
@@ -67,6 +70,7 @@
 #include "stair/codec.h"
 #include "stair/io_pipeline.h"
 #include "stair/scrub_repair.h"
+#include "stair/stripe_engine.h"
 #include "util/latency.h"
 #include "util/workspace_pool.h"
 
@@ -134,10 +138,8 @@ class StorageNode {
     bool scrub = false;
     ScrubOptions scrub_options;
     /// IO options for the read/write path. `io.engine` (borrowed) is shared
-    /// by every worker pipeline, the write path, and the scrubber — the
-    /// fault-injection seam; nullptr lets the node create one. fixed_buffers
-    /// is forced off internally: the registered-buffer set belongs to a
-    /// single foreground pipeline, and a node runs one pipeline per worker.
+    /// by the node's reader and writer and by the scrubber — the
+    /// fault-injection seam; nullptr lets the node create one.
     IoPipeline::Options io;
   };
 
@@ -230,21 +232,17 @@ class StorageNode {
   std::size_t stripe_data_bytes() const { return stripe_data_; }
 
  private:
-  struct Queues;      // per-tenant class deques (service.cpp)
-  struct WriteSlot;   // per-worker write scratch (service.cpp)
+  struct Queues;  // per-tenant class deques (service.cpp)
 
   using StatePtr = std::shared_ptr<detail::RequestState>;
 
-  void worker_loop(std::size_t worker);
+  void worker_loop();
   /// Blocks for the next unit of work: the highest-priority, round-robin
   /// tenant pick, plus any same-span read riders. Empty batch = shut down.
   std::vector<StatePtr> next_batch();
-  void serve_reads(std::size_t worker, std::vector<StatePtr>& batch);
-  void serve_write(std::size_t worker, const StatePtr& state);
+  void serve_reads(std::vector<StatePtr>& batch);
+  void serve_write(const StatePtr& state);
   void complete(const StatePtr& state, Response response);
-  /// This stripe's data fold from the manifest's sector checksums (caller
-  /// holds manifest_mu_ once serving).
-  std::uint64_t stripe_hash(std::size_t stripe) const;
   void flush_manifest();
   bool foreground_pressure() const;
 
@@ -252,13 +250,15 @@ class StorageNode {
   std::string store_dir_;
   Options options_;
 
-  // IO plumbing (engine shared by pipelines, write path, scrubber).
+  // IO plumbing: one reader and one writer shared by every worker (the
+  // engine is shared with the scrubber too).
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_ = nullptr;
-  std::vector<std::unique_ptr<IoPipeline>> pipelines_;  // one per worker
-  std::unique_ptr<IoBufferPool> write_staging_;
-  std::vector<std::unique_ptr<WriteSlot>> write_slots_;  // one per worker
-  std::vector<int> dev_fds_;
+  WorkspacePool<StripeSlot> slots_;  // write stripes and batch-read spans
+  std::unique_ptr<ChunkStaging> staging_;
+  std::unique_ptr<StripeReader> reader_;
+  std::unique_ptr<StripeWriter> writer_;
+  std::vector<int> dev_fds_;  // long-lived write-path fds
 
   // Store state (guarded by manifest_mu_ once serving).
   mutable std::mutex manifest_mu_;
@@ -269,8 +269,8 @@ class StorageNode {
   bool manifest_dirty_ = false;
   std::size_t stripe_data_ = 0;
   /// (row, device) of each data symbol in data order — the manifest fold
-  /// and write-path scatter both need it.
-  std::vector<std::pair<std::size_t, std::size_t>> data_positions_;
+  /// needs it.
+  std::vector<StripeStore::Position> data_positions_;
 
   /// Per-stripe shared/exclusive occupancy: readers hold their stripe span,
   /// a writer holds its stripe, so a write cannot tear bytes out from under

@@ -1,0 +1,248 @@
+// Stripe engine — the one way to read-verify-decode a stored stripe and the
+// one way to write one.
+//
+// Every layer above a StripeStore — file decode, ranged reads, scrub,
+// rebuild and repair, file encode, node writes — does one of two things to
+// a stripe, and each is written exactly once here:
+//
+//   StripeReader: n chunk reads into aligned staging ─▶ each chunk verified
+//     sector by sector on its own completion (hashed while still warm) ─▶
+//     one sector-granular erasure mask (a failed or short transfer erases
+//     its column, a checksum mismatch only its sector; optionally one column
+//     pre-erased for rebuild) ─▶ when asked, a decode through the session
+//     DecodePlanCache, zero-copy over the staging when symbol % 64 == 0 ─▶
+//     callback.
+//   StripeWriter: gather a StripeView's columns into padded chunk staging
+//     (zeroed tails) ─▶ hash every sector ─▶ the positioned chunk writes
+//     under one countdown ─▶ callback. Manifest updates stay with the caller.
+//
+// Both run inside a StripeRing: the bounded set of stripes one operation has
+// in flight. A ring leases slots (coding scratch, chunk staging, the
+// reader's verdicts) up to its depth, keeps the operation's first fatal
+// error and its tallies, and drain() waits until every slot is back. A
+// stripe leaves the ring when the last copy of its lease is released, so no
+// stage retires a stripe by hand. Synchronous callers (ranged reads, node
+// writes) use a ring of depth 1 as their completion wait.
+//
+// Stage work (verify, assembly, gathers) runs on the codec pool, never on
+// an IO completion thread: the single uring reaper in particular must stay
+// free to complete transfers.
+#pragma once
+
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "stair/codec.h"
+#include "stair/stripe_store.h"
+#include "util/stripe_io.h"
+#include "util/workspace_pool.h"
+
+namespace stair {
+
+/// Outcome + counters of one store operation (IoPipeline::Stats). `ok` is
+/// the everything-checks-out bit: no fatal IO error, no unrecoverable
+/// stripe, and (decode) the reassembled data matching the manifest.
+struct IoStats {
+  bool ok = false;
+  std::string error;                 // first fatal error (empty when ok)
+  std::size_t stripes = 0;
+  std::size_t degraded_stripes = 0;  // reconstructed through the plan cache
+  std::size_t failed_stripes = 0;    // pattern outside the code's coverage
+  std::size_t chunks_missing = 0;    // open/read failure or short chunk
+  std::size_t sectors_corrupt = 0;   // read fine, sector checksum mismatch
+  std::size_t manifest_errors = 0;   // manifest missing/truncated/garbled
+  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_written = 0;
+};
+
+/// One stripe in flight. Reused warm through a WorkspacePool: buffers and
+/// staging leases stick to the slot and are re-sized only on geometry
+/// change.
+struct StripeSlot {
+  std::optional<StripeBuffer> buf;          // encode input / decode target
+  std::vector<std::uint8_t> data;           // flat stripe data (file side)
+  std::vector<IoBufferPool::Lease> chunks;  // per-device aligned staging
+  std::vector<io::Result> results;          // reader: per-chunk transfer outcome
+  /// Reader: per-sector verdicts at [i * n + j]. Bytes, not vector<bool>:
+  /// concurrent verifiers write disjoint columns, which packed bits cannot
+  /// do safely. Published to the assembling thread by `pending`.
+  std::vector<std::uint8_t> sector_bad;
+  std::vector<bool> mask;  // reader: erased symbols, pre-erased column included
+  /// Reader: the stripe as read — verified symbols in the staging (or buf
+  /// at odd symbol sizes), erased ones in buf, reconstructed once recovered.
+  StripeView view;
+  bool damaged = false;    // reader: damage beyond the pre-erased column
+  bool recovered = false;  // reader: view holds the whole stripe
+  std::atomic<std::size_t> pending{0};  // stage countdown (acq_rel)
+  std::atomic<int> write_error{0};      // writer: first failed write's errno
+};
+
+/// The bounded in-flight ring of one store operation; see the file comment.
+/// Lives on the operation's stack and drains on destruction, so no
+/// callback outlives it.
+class StripeRing {
+ public:
+  using Lease = std::shared_ptr<StripeSlot>;
+
+  /// At most `depth` stripes in flight, leasing from `slots` (borrowed; a
+  /// long-lived pool keeps slots warm across operations).
+  StripeRing(WorkspacePool<StripeSlot>& slots, std::size_t depth);
+  ~StripeRing();
+
+  StripeRing(const StripeRing&) = delete;
+  StripeRing& operator=(const StripeRing&) = delete;
+
+  /// Blocks while `depth` stripes are in flight, then leases a slot.
+  Lease acquire();
+  /// Blocks until every leased stripe has left the ring.
+  void drain();
+  /// Records the operation's first fatal error; later ones are dropped.
+  void fail(std::string message);
+  std::string error() const;
+  bool failed() const { return !error().empty(); }
+  /// Copies the tallies and the first error into `st`.
+  void tally(IoStats& st) const;
+
+  // Tallies, bumped from any thread.
+  std::atomic<std::size_t> degraded{0};       // stripes with damage
+  std::atomic<std::size_t> unrecoverable{0};  // damage outside coverage
+  std::atomic<std::size_t> missing{0};        // failed or short chunk reads
+  std::atomic<std::size_t> corrupt{0};        // sectors failing their checksum
+  std::atomic<std::uint64_t> bytes_read{0}, bytes_written{0};
+
+ private:
+  void retire();
+
+  WorkspacePool<StripeSlot>& slots_;
+  const std::size_t depth_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t in_flight_ = 0;  // guarded by mu_
+  std::string error_;          // guarded by mu_
+};
+
+/// Aligned chunk staging shared by a reader and a writer: an IoBufferPool
+/// sized to a store's padded chunks, optionally registered with the engine
+/// so chunk transfers take the fixed-buffer path (uring READ_FIXED /
+/// WRITE_FIXED). The engine holds one registered set, so only the owner of
+/// an engine's foreground traffic should ask to register.
+class ChunkStaging {
+ public:
+  ChunkStaging(io::Engine& engine, bool register_buffers);
+  ~ChunkStaging();
+
+  ChunkStaging(const ChunkStaging&) = delete;
+  ChunkStaging& operator=(const ChunkStaging&) = delete;
+
+  /// Sizes the pool for `store`'s chunks with `capacity` registrable
+  /// buffers, rebuilding it only on a geometry change. Between operations
+  /// only; leases still held keep the old pool's memory alive.
+  void reserve(const StripeStore& store, std::size_t capacity);
+  IoBufferPool::Lease acquire() { return pool_->acquire(); }
+  /// Gives `slot` one chunk lease per device from the current pool.
+  void lease_chunks(StripeSlot& slot, std::size_t devices);
+  /// True while the pool is registered with the engine.
+  bool registered() const { return registered_; }
+
+  /// Whole-chunk transfers between a lease and a device file: fixed when
+  /// registered, plain otherwise.
+  void read(int fd, std::uint64_t offset, IoBuffer& chunk, std::size_t bytes,
+            io::Callback cb);
+  void write(int fd, std::uint64_t offset, const IoBuffer& chunk, std::size_t bytes,
+             io::Callback cb);
+
+ private:
+  io::Engine& engine_;
+  const bool register_;
+  std::unique_ptr<IoBufferPool> pool_;
+  bool registered_ = false;
+};
+
+class StripeReader {
+ public:
+  /// Runs once the stripe is read, verified and (when asked) decoded, on a
+  /// codec pool thread (inline on zero-worker pools). The lease keeps the
+  /// stripe in its ring until released.
+  using Done = std::function<void(StripeRing::Lease)>;
+
+  struct Plan {
+    /// Column treated as erased without being read (the rebuild target).
+    std::optional<std::size_t> erase;
+    /// Reconstruct a stripe with erasures. false: verify and tally only
+    /// (detect-only scrub; coverage is still checked).
+    bool decode = true;
+  };
+
+  /// `direct`: read_range opens chunk files O_DIRECT on padded stores.
+  StripeReader(Codec& codec, io::Engine& engine, ChunkStaging& staging, bool direct);
+
+  /// Reads stripe `stripe` of `store` from `fds` (one per device; < 0 =
+  /// missing) into the slot's staging and runs `done`. Tallies land on
+  /// `ring`; the slot's view/mask/damaged/recovered carry the verdict.
+  /// Damage outside the code's coverage is counted, never thrown.
+  void read(StripeRing& ring, StripeRing::Lease slot, const StripeStore& store,
+            std::span<const int> fds, std::size_t stripe, Plan plan, Done done);
+
+  /// Serves original-file bytes [offset, offset + out.size()) from the
+  /// store without touching stripes outside it. The happy path reads only
+  /// the sectors the range needs and verifies each against the manifest;
+  /// any miss sends that stripe through read() and the plan cache, and
+  /// every reconstructed symbol the range needs is checked against the
+  /// manifest before its bytes are served. Device files open per call.
+  /// Thread-safe once the staging is reserved for `store`.
+  IoStats read_range(const StripeStore& store, const std::string& dir,
+                     std::uint64_t offset, std::span<std::uint8_t> out);
+
+  /// Decode jobs this reader has in flight (what the Scrubber's idle gate
+  /// subtracts from Codec::jobs_in_flight() to see foreground pressure).
+  std::size_t decodes_in_flight() const {
+    return decoding_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Job;
+
+  void verify_chunk(Job& job, std::size_t device);
+  void assemble(Job& job);
+  void finish(StripeRing& ring, StripeRing::Lease slot, const Done& done);
+
+  Codec& codec_;
+  io::Engine& engine_;
+  ChunkStaging& staging_;
+  const bool direct_;
+  const std::vector<StripeStore::Position> positions_;
+  WorkspacePool<StripeSlot> range_slots_;  // read_range's escalations
+  std::atomic<std::size_t> decoding_{0};
+};
+
+class StripeWriter {
+ public:
+  /// Runs once every chunk write of the stripe has retired, with 0 or the
+  /// errno of the first failed write (EIO for a short one).
+  using Done = std::function<void(int error)>;
+
+  explicit StripeWriter(ChunkStaging& staging) : staging_(staging) {}
+
+  /// Gathers each column j of `stripe` with fds[j] >= 0 into the slot's
+  /// chunk staging, zeroing the pad tail (so stores stay byte-identical
+  /// whether or not O_DIRECT engaged), hashes its sectors into
+  /// checksums[j * r + i] when `checksums` is non-empty (filled before this
+  /// returns), and writes each padded chunk at store.chunk_offset(index).
+  /// Bytes written are tallied on `ring`.
+  void write(StripeRing& ring, StripeRing::Lease slot, const StripeStore& store,
+             const StripeView& stripe, std::span<const int> fds, std::size_t index,
+             std::span<std::uint64_t> checksums, Done done);
+
+ private:
+  ChunkStaging& staging_;
+};
+
+}  // namespace stair

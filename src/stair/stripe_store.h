@@ -1,0 +1,134 @@
+// StripeStore — the on-disk stripe layout, and every rule that follows from
+// it: where a chunk lives, how chunk files open, which sectors hold data,
+// and how sector checksums fold into the store's data hashes.
+//
+// One dev_NN.bin per device (stripe k's chunk of device j at byte
+// k * padded_chunk_bytes()), plus a manifest recording the config, the
+// geometry, a checksum per stored sector, and a whole-file data hash.
+// Checksums are what make degraded reads honest: a chunk that is missing,
+// short, unreadable (EIO), or torn (checksum mismatch) is treated as erased
+// for exactly the sectors it cannot vouch for.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "stair/stair_code.h"
+#include "util/stripe_io.h"
+
+namespace stair {
+
+/// Parses a comma-separated coverage vector ("1,2" -> {1, 2}) — the format
+/// both the manifest and file_codec's CLI use for `e`.
+std::vector<std::size_t> parse_coverage_list(const std::string& text);
+
+/// 64-bit content hash over a byte span — the sector checksum. A word-wise
+/// multiply-rotate mixer (~8 bytes/cycle of input vs 1 for classic FNV): the
+/// checksum pass must not become the pipeline's bottleneck next to the SIMD
+/// region kernels. Deterministic for a given platform endianness; plenty for
+/// torn-write/bit-rot detection, not a cryptographic integrity layer.
+std::uint64_t content_hash64(std::span<const std::uint8_t> bytes);
+
+/// Fold of a sequence of 64-bit hashes (hashed as 8-byte LE words in
+/// sequence order): the per-stripe data hash folds its data sectors' hashes,
+/// the manifest's data_checksum folds the per-stripe hashes. Exposed so a
+/// layer that rewrites stripes in place (the StorageNode write path) can
+/// refresh the whole-file fold from the manifest's sector checksums without
+/// re-reading content bytes.
+std::uint64_t combine_hashes(std::span<const std::uint64_t> hashes);
+
+/// The on-disk stripe store: per-device chunk files plus the manifest that
+/// decode needs (config, geometry, per-sector checksums, whole-file check).
+struct StripeStore {
+  /// (row, device) of one stored symbol.
+  using Position = std::pair<std::size_t, std::size_t>;
+
+  StairConfig cfg;
+  std::size_t symbol_bytes = 0;
+  std::size_t file_size = 0;   // original file bytes (tail stripe is padded)
+  std::size_t stripes = 0;
+  /// Layout block size: each stripe's chunk row is padded to a multiple of
+  /// this, so every chunk transfer is block-aligned in offset and length —
+  /// the alignment O_DIRECT demands, solved once in the layout instead of
+  /// per-IO. 1 = the legacy unpadded layout (manifests without a `block`
+  /// line load as 1, so old stores keep working byte-for-byte).
+  std::size_t block_bytes = 1;
+  /// FNV over the per-stripe data checksums (8-byte LE each, stripe order) —
+  /// order-independent to compute with stripes completing out of order.
+  std::uint64_t data_checksum = 0;
+  /// Checksum of each stored sector — symbol (row i, device j) of stripe k at
+  /// [(k * cfg.n + j) * cfg.r + i]. Sector granularity is what lets decode
+  /// erase exactly the torn/rotted sectors of a surviving device instead of
+  /// writing off its whole chunk: the mixed device+sector failure patterns
+  /// STAIR's coverage is about.
+  std::vector<std::uint64_t> sector_checksums;
+
+  std::size_t chunk_bytes() const { return cfg.r * symbol_bytes; }
+  /// chunk_bytes rounded up to the layout block — the on-disk stride and
+  /// transfer length for one stripe's chunk (pad bytes are written as zero).
+  std::size_t padded_chunk_bytes() const {
+    return (chunk_bytes() + block_bytes - 1) / block_bytes * block_bytes;
+  }
+  /// Byte offset of stripe `stripe`'s chunk within each device file.
+  std::uint64_t chunk_offset(std::size_t stripe) const {
+    return std::uint64_t{stripe} * padded_chunk_bytes();
+  }
+  /// Alignment for chunk staging buffers: the layout block, at least a
+  /// cache line (the region kernels' alignment).
+  std::size_t staging_alignment() const { return std::max<std::size_t>(block_bytes, 64); }
+  /// How chunk files open when raw-device IO is requested: O_DIRECT only on
+  /// a padded layout — a legacy (block 1) store has no alignment to offer,
+  /// so it stays buffered whatever `direct` says.
+  io::OpenMode open_mode(bool direct) const {
+    return direct && block_bytes > 1 ? io::OpenMode::kDirect : io::OpenMode::kBuffered;
+  }
+  /// Empty when the store was encoded with `codec_cfg`, else the error
+  /// every layer reports before touching a chunk.
+  std::string config_mismatch(const StairConfig& codec_cfg) const;
+  std::uint64_t sector_checksum(std::size_t stripe, std::size_t device,
+                                std::size_t row) const {
+    return sector_checksums[(stripe * cfg.n + device) * cfg.r + row];
+  }
+
+  /// (row, device) of each data symbol in data order — the order
+  /// set_data/get_data use, so data index d of stripe k holds original-file
+  /// bytes [k * stripe_data + d * symbol, ... + symbol).
+  static std::vector<Position> data_positions(const StairLayout& layout);
+  /// A stripe's data hash: its data sectors' hashes folded in data order.
+  /// `hash_of(row, device)` supplies each sector's hash.
+  template <typename HashOf>
+  static std::uint64_t fold_stripe_hash(std::span<const Position> positions,
+                                        HashOf&& hash_of) {
+    std::vector<std::uint64_t> hashes;
+    hashes.reserve(positions.size());
+    for (const auto& [row, dev] : positions) hashes.push_back(hash_of(row, dev));
+    return combine_hashes(hashes);
+  }
+  /// fold_stripe_hash over this manifest's sector checksums for `stripe`.
+  std::uint64_t stripe_data_hash(std::size_t stripe,
+                                 std::span<const Position> positions) const {
+    return fold_stripe_hash(positions, [&](std::size_t row, std::size_t dev) {
+      return sector_checksum(stripe, dev, row);
+    });
+  }
+
+  static std::string device_path(const std::string& dir, std::size_t device);
+  static std::string manifest_path(const std::string& dir);
+
+  /// Writes manifest.txt into `dir` atomically (unique temp file + rename,
+  /// so a power cut mid-save leaves the previous manifest intact — the
+  /// manifest is the store's recovery point). Throws on IO failure.
+  void save(const std::string& dir) const;
+  /// Loads and validates manifest.txt. Every field is parse-checked and
+  /// bounds-checked before it is used to size or index sector_checksums: a
+  /// truncated, garbled, or adversarial manifest throws std::runtime_error
+  /// with a "manifest" message — never UB. (sector_checksum() itself stays
+  /// unchecked; a loaded store is guaranteed self-consistent.)
+  static StripeStore load(const std::string& dir);
+};
+
+}  // namespace stair

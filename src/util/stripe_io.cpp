@@ -813,6 +813,13 @@ std::unique_ptr<Engine> Engine::create(Backend requested, Options options) {
   return std::make_unique<ThreadEngine>(options);
 }
 
+Engine* engine_or_create(Engine* borrowed, Backend backend, const Engine::Options& options,
+                         std::unique_ptr<Engine>& owned) {
+  if (borrowed) return borrowed;
+  owned = Engine::create(backend == Backend::kAuto ? backend_from_env() : backend, options);
+  return owned.get();
+}
+
 // ---------------------------------------------------------------------------
 // FaultInjectingEngine
 // ---------------------------------------------------------------------------

@@ -291,6 +291,12 @@ class Engine {
   Counters counters_;
 };
 
+/// The engine a layer runs on: `borrowed` when non-null, otherwise a new
+/// engine kept in `owned`. kAuto defers to STAIR_IO_BACKEND (a misspelled
+/// value throws); an explicit backend wins over the env.
+Engine* engine_or_create(Engine* borrowed, Backend backend, const Engine::Options& options,
+                         std::unique_ptr<Engine>& owned);
+
 // ---------------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------------

@@ -669,8 +669,9 @@ TEST(IoPipelineRangedRead, OutOfBoundsRangeFailsCleanly) {
 }
 
 // The rebuild-serving path: with a device gone and a sector torn elsewhere,
-// ranged reads escalate per-stripe to build_degraded_read_schedule and still
-// return exact bytes — verified against the manifest before they're copied.
+// ranged reads escalate per-stripe to the stripe reader's plan-cache decode
+// and still return exact bytes — verified against the manifest before
+// they're copied.
 TEST(IoPipelineRangedRead, DegradedRangesServedByteExact) {
   for (const auto& c : fault_cases()) {
     SCOPED_TRACE(c.cfg.to_string());

@@ -560,5 +560,27 @@ TEST(ServiceTest, EnvOverridesParseLoudly) {
   ::unsetenv("STAIR_NODE_SCRUB");
 }
 
+// A node that builds its own engine resolves the backend exactly like
+// IoPipeline and Scrubber do: through STAIR_IO_BACKEND, so a misspelled
+// value fails start() loudly instead of silently picking io_uring.
+TEST(ServiceTest, NodeHonorsIoBackendEnv) {
+  TempDir dir("backend_env");
+  encode_store(dir, 20'000, 14);
+  const char* prev = std::getenv("STAIR_IO_BACKEND");
+  const std::string saved = prev ? prev : "";
+  ::setenv("STAIR_IO_BACKEND", "bogus", 1);
+
+  Codec codec(kCfg);
+  EXPECT_THROW(IoPipeline(codec, {.symbol_bytes = kSymbol}), std::runtime_error);
+  StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 1});
+  EXPECT_THROW(node.start(), std::runtime_error);
+  EXPECT_FALSE(node.started());
+
+  if (prev)
+    ::setenv("STAIR_IO_BACKEND", saved.c_str(), 1);
+  else
+    ::unsetenv("STAIR_IO_BACKEND");
+}
+
 }  // namespace
 }  // namespace stair

@@ -1,0 +1,204 @@
+// Stripe engine battery: every read path runs the one StripeReader, so on
+// every damage shape — a lost device, scattered torn sectors, a device plus
+// sectors, damage beyond coverage — decode_file, a whole-file read_range, a
+// detect-only scrub and a StorageNode read must agree on the bytes, the
+// degraded-stripe count and the unrecoverable verdict. Plus the plan-cache
+// contract of degraded ranged reads: one failure epoch, one inversion.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "matrix/matrix.h"
+#include "stair/io_pipeline.h"
+#include "stair/scrub_repair.h"
+#include "stair/service.h"
+#include "util/rng.h"
+
+namespace stair {
+namespace {
+
+namespace fs = std::filesystem;
+
+struct TempDir {
+  fs::path path;
+
+  explicit TempDir(const std::string& hint) {
+    path = fs::temp_directory_path() /
+           ("stair_engine_test_" + hint + "_" + std::to_string(::getpid()));
+    fs::remove_all(path);
+    fs::create_directories(path);
+  }
+  ~TempDir() { fs::remove_all(path); }
+
+  std::string store() const { return (path / "store").string(); }
+};
+
+const StairConfig kCfg{.n = 8, .r = 6, .m = 2, .e = {1, 2}, .w = 8};
+constexpr std::size_t kSymbol = 256;
+constexpr std::size_t kFileBytes = 30'000;  // 4 stripes, the last partial
+
+std::vector<std::uint8_t> encode_store(const TempDir& dir, std::uint64_t seed) {
+  std::vector<std::uint8_t> data(kFileBytes);
+  Rng(seed).fill(data);
+  {
+    std::ofstream out(dir.path / "input.bin", std::ios::binary);
+    out.write(reinterpret_cast<const char*>(data.data()),
+              static_cast<std::streamsize>(data.size()));
+  }
+  Codec codec(kCfg);
+  IoPipeline pipeline(codec, {.symbol_bytes = kSymbol});
+  const auto st = pipeline.encode_file((dir.path / "input.bin").string(), dir.store());
+  EXPECT_TRUE(st.ok) << st.error;
+  return data;
+}
+
+std::vector<std::uint8_t> read_all(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Flips the first 16 bytes of sector (row, device) of `stripe`.
+void tear_sector(const TempDir& dir, const StripeStore& store, std::size_t stripe,
+                 std::size_t row, std::size_t device) {
+  std::fstream f(StripeStore::device_path(dir.store(), device),
+                 std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f);
+  const auto at = static_cast<std::streamoff>(store.chunk_offset(stripe) + row * kSymbol);
+  char buf[16];
+  f.seekg(at);
+  f.read(buf, sizeof buf);
+  for (char& c : buf) c = static_cast<char>(c ^ 0xA5);
+  f.seekp(at);
+  f.write(buf, sizeof buf);
+}
+
+struct Shape {
+  std::string name;
+  std::vector<std::size_t> lost_devices;
+  /// {stripe, data index} of data sectors to tear (data sectors, so the
+  /// ranged read's happy path meets every hit too).
+  std::vector<std::pair<std::size_t, std::size_t>> torn;
+  std::size_t degraded;  // expected degraded stripes
+  bool unrecoverable;
+};
+
+TEST(StripeEngine, ReadPathsAgreeOnEveryDamageShape) {
+  // Data indices 0..5 are row 0 across the six data devices: tearing five of
+  // them in one stripe puts five erasures in one row, past m + e.size().
+  const std::vector<Shape> shapes = {
+      {"lost_device", {0}, {}, 4, false},
+      {"torn_sectors", {}, {{0, 3}, {2, 17}, {3, 10}}, 3, false},
+      {"device_plus_sectors", {1}, {{1, 4}, {3, 9}}, 4, false},
+      {"beyond_coverage", {}, {{3, 0}, {3, 1}, {3, 2}, {3, 3}, {3, 4}}, 1, true},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    TempDir dir(shape.name);
+    const auto data = encode_store(dir, 60);
+    const StripeStore store = StripeStore::load(dir.store());
+    Codec codec(kCfg);
+    const auto positions = StripeStore::data_positions(codec.code().layout());
+    ASSERT_EQ(store.stripes, 4u);
+
+    std::vector<bool> last_mask(kCfg.r * kCfg.n, false);
+    for (const auto& [stripe, d] : shape.torn) {
+      const auto [row, dev] = positions[d];
+      tear_sector(dir, store, stripe, row, dev);
+      if (stripe == 3) last_mask[row * kCfg.n + dev] = true;
+    }
+    for (std::size_t dev : shape.lost_devices)
+      ASSERT_TRUE(fs::remove(StripeStore::device_path(dir.store(), dev)));
+    ASSERT_EQ(codec.code().is_recoverable(last_mask), !shape.unrecoverable)
+        << "the shape must really sit on its side of the coverage boundary";
+
+    // Bytes outside the unrecoverable stripe (all of them when recoverable).
+    const std::size_t bad_lo = shape.unrecoverable ? 3 * positions.size() * kSymbol : data.size();
+    auto same_bytes = [&](const std::vector<std::uint8_t>& got) {
+      return got.size() == data.size() && std::equal(data.begin(), data.begin() + bad_lo, got.begin());
+    };
+
+    IoPipeline pipeline(codec);
+    const auto dec = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
+    EXPECT_EQ(dec.ok, !shape.unrecoverable) << dec.error;
+    EXPECT_EQ(dec.degraded_stripes, shape.degraded);
+    EXPECT_EQ(dec.failed_stripes, shape.unrecoverable ? 1u : 0u);
+    EXPECT_TRUE(same_bytes(read_all(dir.path / "out.bin")));
+
+    std::vector<std::uint8_t> ranged(data.size());
+    const auto rr = pipeline.read_range(dir.store(), 0, ranged);
+    EXPECT_EQ(rr.ok, !shape.unrecoverable) << rr.error;
+    EXPECT_EQ(rr.degraded_stripes, shape.degraded);
+    EXPECT_EQ(rr.failed_stripes, shape.unrecoverable ? 1u : 0u);
+    EXPECT_TRUE(same_bytes(ranged));
+
+    Scrubber scrubber(codec, {.repair = false});
+    const ScrubReport rep = scrubber.scrub(dir.store());
+    EXPECT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(rep.stripes_degraded, shape.degraded);
+    EXPECT_EQ(rep.stripes_unrecoverable, shape.unrecoverable ? 1u : 0u);
+    EXPECT_EQ(rep.bytes_written, 0u);
+
+    StorageNode node(codec, dir.store(), {.tenants = 1, .workers = 1});
+    node.start();
+    std::vector<std::uint8_t> served(data.size());
+    Request req;
+    req.type = RequestType::kScan;
+    req.out = served;
+    const Response resp = node.submit(req).wait();
+    node.stop();
+    EXPECT_EQ(resp.ok, !shape.unrecoverable) << resp.error;
+    EXPECT_EQ(resp.degraded_stripes, shape.degraded);
+    EXPECT_TRUE(same_bytes(served));
+  }
+}
+
+// Degraded ranged reads resolve through the session plan cache: 50 reads
+// against one lost device invert once (the first call), and the other 49
+// replay the cached plan.
+TEST(StripeEngine, DegradedRangedReadsInvertOncePerFailureEpoch) {
+  TempDir dir("epoch");
+  const auto data = encode_store(dir, 61);
+  const std::size_t lost = 0;
+  ASSERT_TRUE(fs::remove(StripeStore::device_path(dir.store(), lost)));
+
+  Codec codec(kCfg);
+  IoPipeline pipeline(codec);
+  const StripeStore store = StripeStore::load(dir.store());
+  const auto positions = StripeStore::data_positions(codec.code().layout());
+  std::vector<std::size_t> on_lost;  // data indices stored on the lost device
+  for (std::size_t d = 0; d < positions.size(); ++d)
+    if (positions[d].second == lost) on_lost.push_back(d);
+  ASSERT_FALSE(on_lost.empty());
+  const std::size_t stripe_data = positions.size() * kSymbol;
+
+  std::vector<std::uint8_t> out(100);
+  for (int call = 0; call < 50; ++call) {
+    const std::size_t stripe = static_cast<std::size_t>(call) % (store.stripes - 1);
+    const std::uint64_t offset =
+        stripe * stripe_data + on_lost[static_cast<std::size_t>(call) % on_lost.size()] * kSymbol + 7;
+    const std::uint64_t inversions = matrix_inversion_count();
+    const std::size_t hits = codec.plan_cache().hits();
+    const auto st = pipeline.read_range(store, dir.store(), offset, out);
+    ASSERT_TRUE(st.ok) << st.error;
+    ASSERT_EQ(st.degraded_stripes, 1u);
+    ASSERT_TRUE(std::equal(out.begin(), out.end(), data.begin() + static_cast<std::ptrdiff_t>(offset)));
+    if (call == 0) {
+      EXPECT_GT(matrix_inversion_count(), inversions) << "the first read builds the plan";
+    } else {
+      EXPECT_EQ(matrix_inversion_count(), inversions) << "call " << call;
+      EXPECT_EQ(codec.plan_cache().hits(), hits + 1) << "call " << call;
+    }
+  }
+  EXPECT_EQ(codec.plan_cache().misses(), 1u);
+}
+
+}  // namespace
+}  // namespace stair
