@@ -278,10 +278,12 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // --- tier 4: raw-device mode matrix at depth 4 ---------------------------
-  // direct-vs-buffered x fixed-vs-unregistered, each pipeline owning a fresh
-  // engine so its stats isolate the mode. On tmpfs O_DIRECT may engage or
-  // fall back per kernel; direct_fallbacks in the JSON says which happened,
-  // and the CI gate only fires when the direct path really ran.
+  // The layout decides the mode: an unpadded store runs buffered, a padded
+  // one O_DIRECT. Each pipeline owns a fresh engine so its stats isolate the
+  // mode, and both register their staging wherever the engine accepts
+  // (uring), so the pair measures O_DIRECT alone. On tmpfs O_DIRECT may
+  // engage or fall back per kernel; direct_fallbacks in the JSON says which
+  // happened, and the CI gate only fires when the direct path really ran.
   struct ModeCell {
     std::string mode, op;
     double mbps;
@@ -290,16 +292,12 @@ int main(int argc, char** argv) {
   std::vector<ModeCell> mode_cells;
   const struct {
     const char* name;
-    bool direct, fixed;
-  } kModes[] = {{"buffered", false, false},
-                {"buffered_fixed", false, true},
-                {"direct", true, false},
-                {"direct_fixed", true, true}};
+    bool direct;
+  } kModes[] = {{"buffered", false}, {"direct", true}};
   TablePrinter mtable("raw-device mode matrix (MB/s, depth 4)");
   mtable.set_header({"mode", "encode", "decode", "direct opens", "fallbacks", "fixed rate"});
   for (const auto& m : kModes) {
-    IoPipeline pipeline(codec, {.queue_depth = 4, .symbol_bytes = symbol,
-                                .direct = m.direct, .fixed_buffers = m.fixed});
+    IoPipeline pipeline(codec, {.queue_depth = 4, .symbol_bytes = symbol, .direct = m.direct});
     const double enc = measure_mbps(
         [&] {
           const auto st = pipeline.encode_file(input.string(), store.string());

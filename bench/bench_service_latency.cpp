@@ -36,6 +36,7 @@
 
 #include "bench_util.h"
 #include "gf/kernel.h"
+#include "stair/io_pipeline.h"
 #include "stair/scrub_repair.h"
 #include "stair/service.h"
 #include "util/latency.h"

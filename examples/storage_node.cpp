@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "stair/io_pipeline.h"
 #include "stair/service.h"
 #include "util/rng.h"
 

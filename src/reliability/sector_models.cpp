@@ -18,8 +18,10 @@ std::vector<double> independent_chunk_pmf(double p_sec, std::size_t r) {
     double log_term = 0.0;
     for (std::size_t k = 0; k < i; ++k)
       log_term += std::log(static_cast<double>(r - k) / static_cast<double>(i - k));
-    log_term += static_cast<double>(i) * std::log(p_sec);
-    log_term += static_cast<double>(r - i) * std::log1p(-p_sec);
+    // Zero exponents are skipped, not multiplied: 0 * log(0) is NaN, and
+    // p_sec = 0 (no latent errors) must give the point mass at 0.
+    if (i > 0) log_term += static_cast<double>(i) * std::log(p_sec);
+    if (i < r) log_term += static_cast<double>(r - i) * std::log1p(-p_sec);
     pmf[i] = std::exp(log_term);
   }
   return pmf;

@@ -5,57 +5,6 @@
 
 namespace stair::sim {
 
-MonteCarloResult simulate_array_mttdl(const MonteCarloParams& params,
-                                      const RecoverabilityCheck& check) {
-  MonteCarloResult result;
-  FailureInjector injector(params.sector, params.seed);
-  Rng& rng = injector.rng();
-
-  for (std::size_t episode = 0; episode < params.episodes; ++episode) {
-    // State 0 -> 1: first device failure after Exp(mttf / n).
-    result.simulated_hours +=
-        rng.next_exponential(params.mttf_hours / static_cast<double>(params.n));
-    const std::size_t failed_device = rng.next_below(params.n);
-
-    // Critical mode: rebuild races a second failure.
-    const double rebuild = rng.next_exponential(params.rebuild_hours);
-    const double second_failure =
-        rng.next_exponential(params.mttf_hours / static_cast<double>(params.n - 1));
-    if (second_failure < rebuild) {
-      result.simulated_hours += second_failure;
-      ++result.data_loss_events;
-      ++result.device_loss_events;
-      continue;
-    }
-
-    // Survived the race; check latent sector errors discovered during rebuild.
-    result.simulated_hours += rebuild;
-    bool lost = false;
-    for (std::size_t s = 0; s < params.stripes && !lost; ++s) {
-      const std::vector<bool> mask =
-          injector.sample_stripe_mask(params.n, params.r, {failed_device});
-      bool has_sector_failure = false;
-      for (std::size_t i = 0; i < params.r && !has_sector_failure; ++i)
-        for (std::size_t j = 0; j < params.n; ++j)
-          if (j != failed_device && mask[i * params.n + j]) {
-            has_sector_failure = true;
-            break;
-          }
-      if (has_sector_failure && !check(mask)) lost = true;
-    }
-    if (lost) {
-      ++result.data_loss_events;
-      ++result.sector_loss_events;
-    }
-  }
-
-  result.mttdl_hours = result.data_loss_events == 0
-                           ? result.simulated_hours  // lower bound
-                           : result.simulated_hours /
-                                 static_cast<double>(result.data_loss_events);
-  return result;
-}
-
 DataPathArray::DataPathArray(const StairCode& code, std::size_t stripes,
                              std::size_t symbol_size, std::uint64_t seed)
     : code_(&code), symbol_size_(symbol_size), rng_(seed), codec_(code) {

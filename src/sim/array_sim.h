@@ -1,17 +1,11 @@
-// Storage-array simulation.
-//
-// Two simulators live here:
-//  * MonteCarlo MTTDL estimation — an event-driven rendition of the §7.1.1
-//    Markov model (device failure -> critical mode -> rebuild race against a
-//    second failure and latent sector errors), used to cross-validate the
-//    analytic MTTDL formulas at inflated failure rates.
-//  * DataPathArray — a real array of STAIR-encoded stripes with byte-exact
-//    write / corrupt / repair / verify, the substrate for the integration
-//    tests and the raid_array_sim example.
+// DataPathArray — a real array of STAIR-encoded stripes with byte-exact
+// write / corrupt / repair / verify, the substrate for the integration tests
+// and the raid_array_sim example. (Array reliability is simulated by
+// sim/cluster_sim.h, whose single-array, uncapped-repair, fixed-p_sec case
+// is the §7.1.1 Markov race.)
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/failure_injector.h"
@@ -19,37 +13,6 @@
 #include "stair/stair_code.h"
 
 namespace stair::sim {
-
-/// Decides whether a stripe-level erasure mask (stored index = row*n + col)
-/// is recoverable by the code under study.
-using RecoverabilityCheck = std::function<bool(const std::vector<bool>&)>;
-
-/// Monte-Carlo array parameters. Rates are per-hour means like §7.2's.
-struct MonteCarloParams {
-  std::size_t n = 8;            ///< devices
-  std::size_t r = 16;           ///< sectors per chunk
-  std::size_t stripes = 1000;   ///< stripes per array
-  double mttf_hours = 1000.0;   ///< mean time to device failure (per device)
-  double rebuild_hours = 10.0;  ///< mean rebuild time
-  InjectorParams sector;        ///< latent-sector-error model in critical mode
-  std::size_t episodes = 1000;  ///< device-failure episodes to simulate
-  std::uint64_t seed = 1;
-};
-
-/// Result of a Monte-Carlo run.
-struct MonteCarloResult {
-  double mttdl_hours = 0;          ///< simulated_hours / data_loss_events
-  std::size_t data_loss_events = 0;
-  std::size_t sector_loss_events = 0;  ///< losses caused by sector failures
-  std::size_t device_loss_events = 0;  ///< losses caused by a second device
-  double simulated_hours = 0;
-};
-
-/// Runs the critical-mode race: each episode waits for a device failure,
-/// then rebuilds while exposed to a second failure and to latent sector
-/// errors whose stripe-level recoverability `check` decides.
-MonteCarloResult simulate_array_mttdl(const MonteCarloParams& params,
-                                      const RecoverabilityCheck& check);
 
 /// A live array of STAIR stripes holding real bytes. All coding runs through
 /// a Codec session: initial encoding and repair submit every stripe as one

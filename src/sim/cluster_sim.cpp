@@ -99,8 +99,8 @@ ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
     throw std::invalid_argument("cluster_sim: mttf_hours must be > 0");
   if (!(config_.repair_mbps_per_array > 0.0))
     throw std::invalid_argument("cluster_sim: repair_mbps_per_array must be > 0");
-  if (!(config_.sim_hours > 0.0))
-    throw std::invalid_argument("cluster_sim: sim_hours must be > 0");
+  if (!(config_.sim_hours > 0.0) || !std::isfinite(config_.sim_hours))
+    throw std::invalid_argument("cluster_sim: sim_hours must be finite and > 0");
 }
 
 reliability::PredictionQuery ClusterSim::prediction_query() const {

@@ -1,6 +1,6 @@
 // Failure injection: draws device- and sector-failure patterns for stripes
 // under the §7.1.2 models (independent sector failures, or correlated bursts
-// with the (b1, alpha) Pareto length distribution). Used by the Monte-Carlo
+// with the (b1, alpha) Pareto length distribution). Used by the cluster
 // reliability simulator, the integration tests, and the examples.
 #pragma once
 

@@ -14,10 +14,9 @@ IoPipeline::IoPipeline(Codec& codec) : IoPipeline(codec, Options{}) {}
 IoPipeline::IoPipeline(Codec& codec, Options options)
     : codec_(codec),
       options_(options),
-      engine_(io::engine_or_create(options_.engine, options_.backend, options_.io,
-                                   owned_engine_)),
-      staging_(*engine_, options_.fixed_buffers),
-      reader_(codec_, *engine_, staging_, options_.direct),
+      engine_(io::engine_or_create(options_.engine, owned_engine_)),
+      staging_(*engine_, true),
+      reader_(codec_, *engine_, staging_),
       writer_(staging_),
       positions_(StripeStore::data_positions(codec.code().layout())) {
   if (options_.queue_depth == 0) options_.queue_depth = 1;
@@ -58,7 +57,7 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   StripeStore store;
   store.cfg = cfg;
   store.symbol_bytes = options_.symbol_bytes;
-  store.block_bytes = options_.direct && options_.block_bytes > 1 ? options_.block_bytes : 1;
+  store.block_bytes = options_.direct ? StripeStore::kDirectBlockBytes : 1;
   store.file_size = static_cast<std::size_t>(file_size);
   store.stripes = stripes;
   store.sector_checksums.assign(stripes * cfg.n * cfg.r, 0);
@@ -68,14 +67,12 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   StripeRing ring(slots_, options_.queue_depth);
   std::vector<int> dev_fds(cfg.n, -1);
   for (std::size_t j = 0; j < cfg.n; ++j) {
-    dev_fds[j] = engine_->open_write(StripeStore::device_path(store_dir, j),
-                                     store.open_mode(options_.direct));
+    dev_fds[j] = engine_->open_write(StripeStore::device_path(store_dir, j), store.open_mode());
     if (dev_fds[j] < 0) ring.fail("cannot create " + StripeStore::device_path(store_dir, j));
   }
   // Long-lived chunk fds: register so uring submissions skip the per-IO fd
   // lookup/refcount (IOSQE_FIXED_FILE). Optional like everything else here.
-  const bool files_registered =
-      options_.fixed_buffers && !ring.failed() && engine_->register_files(dev_fds) == 0;
+  const bool files_registered = !ring.failed() && engine_->register_files(dev_fds) == 0;
 
   // Once stripe s is encoded: the writer lays down its n chunks and
   // fingerprints every sector straight into the manifest (rows are disjoint
@@ -178,15 +175,13 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
   std::vector<int> dev_fds(cfg.n, -1);
   bool all_devs_open = true;
   for (std::size_t j = 0; j < cfg.n; ++j) {
-    dev_fds[j] = engine_->open_read(StripeStore::device_path(store_dir, j),
-                                    store.open_mode(options_.direct));
+    dev_fds[j] = engine_->open_read(StripeStore::device_path(store_dir, j), store.open_mode());
     all_devs_open = all_devs_open && dev_fds[j] >= 0;
   }
   // Fixed files only when every device opened: sparse registrations (-1
   // entries) predate some kernels this runs on, and a degraded decode is
   // not the case to optimize anyway.
-  const bool files_registered =
-      options_.fixed_buffers && all_devs_open && engine_->register_files(dev_fds) == 0;
+  const bool files_registered = all_devs_open && engine_->register_files(dev_fds) == 0;
 
   const int out_fd = engine_->open_write(output_path);
   if (out_fd < 0) {

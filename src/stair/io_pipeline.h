@@ -26,6 +26,11 @@
 // transfers are bounded by depth x (n + 1), so the engine never needs its
 // own backpressure against the pipeline.
 //
+// IO is configured by the engine alone (Options::engine, or one built by
+// io::Engine::create()). Whether chunk files open O_DIRECT is the store
+// layout's call (StripeStore::open_mode); Options::direct only picks the
+// layout encode_file writes.
+//
 // A pipeline is bound to one Codec (whose code defines the stripe geometry)
 // and runs one file operation at a time; distinct pipelines on distinct
 // codecs may run concurrently.
@@ -55,26 +60,17 @@ class IoPipeline {
     std::size_t symbol_bytes = 4096;
     /// Encoding method for encode_file.
     EncodingMethod method = EncodingMethod::kAuto;
-    /// Raw-device mode (STAIR_IO_DIRECT): encode pads the store layout to
-    /// `block_bytes` and chunk files are opened O_DIRECT; decode/read_range
-    /// open O_DIRECT whenever the store is padded. Filesystems that refuse
-    /// O_DIRECT fall back to buffered opens transparently (the padded
-    /// layout and aligned transfers are valid either way, so the store is
-    /// byte-identical across modes).
+    /// Layout of the stores encode_file writes (STAIR_IO_DIRECT): true pads
+    /// chunk rows to StripeStore::kDirectBlockBytes, and a padded store is
+    /// read and written O_DIRECT by every layer. Reads never consult this —
+    /// the store's layout alone decides (StripeStore::open_mode). Filesystems
+    /// that refuse O_DIRECT fall back to buffered opens transparently, so a
+    /// store is byte-identical whichever mode engaged.
     bool direct = io::direct_from_env();
-    /// Layout block for newly encoded stores when `direct` is set (the
-    /// device's logical block size; 4096 covers 512e/4Kn disks).
-    std::size_t block_bytes = 4096;
-    /// Lease chunk staging from a registered buffer pool and issue
-    /// READ_FIXED/WRITE_FIXED on engines that support registration (uring).
-    /// Engines that don't (or a failed registration) degrade to plain
-    /// transfers on the same aligned buffers.
-    bool fixed_buffers = true;
     /// IO engine to run on (borrowed; fault-injection tests pass a wrapped
-    /// one). nullptr: the pipeline creates and owns one per `backend`.
+    /// one). nullptr: the pipeline creates and owns one through
+    /// io::Engine::create(), which reads STAIR_IO_BACKEND and STAIR_IO_SQPOLL.
     io::Engine* engine = nullptr;
-    io::Backend backend = io::Backend::kAuto;  // used only when engine == nullptr
-    io::Engine::Options io;                    // used only when engine == nullptr
   };
 
   /// Per-operation outcome + counters (see IoStats).
@@ -117,7 +113,9 @@ class IoPipeline {
   /// at queue_depth).
   std::size_t slots_created() const { return slots_.created(); }
   /// True while the staging pool is registered with the engine (fixed-path
-  /// transfers engaged).
+  /// transfers engaged). The pipeline always asks; engines without
+  /// registration (the thread backend) refuse, and transfers stay plain on
+  /// the same aligned buffers.
   bool fixed_buffers_active() const { return staging_.registered(); }
 
  private:
@@ -126,7 +124,7 @@ class IoPipeline {
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_;
   WorkspacePool<StripeSlot> slots_;
-  ChunkStaging staging_;  // registered when fixed_buffers is on
+  ChunkStaging staging_;  // registered when the engine accepts
   StripeReader reader_;
   StripeWriter writer_;
   const std::vector<StripeStore::Position> positions_;

@@ -79,10 +79,9 @@ struct Scrubber::Pass {
 Scrubber::Scrubber(Codec& codec, ScrubOptions options)
     : codec_(codec),
       options_(std::move(options)),
-      engine_(io::engine_or_create(options_.engine, options_.backend, options_.io,
-                                   owned_engine_)),
+      engine_(io::engine_or_create(options_.engine, owned_engine_)),
       staging_(*engine_, false),
-      reader_(codec_, *engine_, staging_, options_.direct),
+      reader_(codec_, *engine_, staging_),
       writer_(staging_),
       bucket_(options_.rate_mbps, options_.burst_bytes) {
   if (options_.stripes_in_flight == 0) options_.stripes_in_flight = 1;
@@ -146,8 +145,8 @@ ScrubReport Scrubber::run_pass(const std::string& store_dir,
   staging_.reserve(store, options_.stripes_in_flight * store.cfg.n);
   Pass pass(store, store_dir, rebuild, slots_, options_.stripes_in_flight);
   // Chunk reads and the rebuild target take whole aligned transfers only,
-  // so they open direct-capable; sector-patch fds stay buffered.
-  const io::OpenMode mode = store.open_mode(options_.direct);
+  // so they open in the layout's mode; sector-patch fds stay buffered.
+  const io::OpenMode mode = store.open_mode();
   pass.read_fds.assign(store.cfg.n, -1);
   pass.write_fds.assign(store.cfg.n, -2);
   for (std::size_t j = 0; j < store.cfg.n; ++j) {

@@ -23,6 +23,11 @@
 // IoPipeline's queue_depth. sim::pass_rate_mbps converts a ScrubPolicy
 // period into the rate knob.
 //
+// IO follows the store layout: on a padded store (block > 1) chunk reads and
+// the rebuild target's whole-chunk writes go through O_DIRECT fds with
+// aligned leased staging, while sector-granular repair patches stay
+// buffered — they are sub-block by nature.
+//
 // Repair is write-minimal and checked: every reconstructed sector is
 // verified against its manifest checksum *before* any write is issued (a
 // repair must never write bytes it cannot prove), scattered sectors are
@@ -116,17 +121,10 @@ struct ScrubOptions {
   SharedBandwidth* shared_bandwidth = nullptr;
   /// When false, scrub only detects and counts — no repair writes.
   bool repair = true;
-  /// Raw-device mode (STAIR_IO_DIRECT): chunk reads — and the rebuild
-  /// target's whole-chunk writes — go through O_DIRECT fds with aligned
-  /// leased staging whenever the store layout is padded (block > 1).
-  /// Sector-granular repair patches stay buffered: they are sub-block by
-  /// nature. Filesystems that refuse O_DIRECT fall back to buffered opens.
-  bool direct = io::direct_from_env();
   /// IO engine (borrowed — share the pipeline's to test phase-scoped fault
-  /// plans); nullptr: the Scrubber creates and owns one per `backend`.
+  /// plans); nullptr: the Scrubber creates and owns one through
+  /// io::Engine::create(), which reads STAIR_IO_BACKEND and STAIR_IO_SQPOLL.
   io::Engine* engine = nullptr;
-  io::Backend backend = io::Backend::kAuto;
-  io::Engine::Options io;
 };
 
 /// One pass's outcome. `ok` means no fatal error; `completed` additionally

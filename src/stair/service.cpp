@@ -136,14 +136,13 @@ void StorageNode::start() {
   for (std::size_t s = 0; s < store_.stripes; ++s)
     stripe_hashes_[s] = store_.stripe_data_hash(s, data_positions_);
 
-  engine_ = io::engine_or_create(options_.io.engine, options_.io.backend, options_.io.io,
-                                 owned_engine_);
+  engine_ = io::engine_or_create(options_.io.engine, owned_engine_);
 
   // Long-lived write-path fds.
   dev_fds_.assign(store_.cfg.n, -1);
   for (std::size_t j = 0; j < store_.cfg.n; ++j) {
-    dev_fds_[j] = engine_->open_update(StripeStore::device_path(store_dir_, j),
-                                       store_.open_mode(options_.io.direct));
+    dev_fds_[j] =
+        engine_->open_update(StripeStore::device_path(store_dir_, j), store_.open_mode());
     if (dev_fds_[j] < 0) {
       const int err = errno;
       for (int fd : dev_fds_)
@@ -161,9 +160,9 @@ void StorageNode::start() {
 
   // One reader and one writer serve every worker over one staging pool,
   // sized once here for the store's fixed geometry.
-  staging_ = std::make_unique<ChunkStaging>(*engine_, options_.io.fixed_buffers);
+  staging_ = std::make_unique<ChunkStaging>(*engine_, true);
   staging_->reserve(store_, workers * store_.cfg.n);
-  reader_ = std::make_unique<StripeReader>(codec_, *engine_, *staging_, options_.io.direct);
+  reader_ = std::make_unique<StripeReader>(codec_, *engine_, *staging_);
   writer_ = std::make_unique<StripeWriter>(*staging_);
 
   range_lock_.resize(store_.stripes);
@@ -277,7 +276,11 @@ StorageNode::Future StorageNode::submit(Request request) {
                       " bytes, stripe holds " + std::to_string(expected);
     }
   } else {
-    if (request.offset + request.out.size() > store_.file_size)
+    // Subtraction form: offset + size can wrap past 2^64 and sneak a huge
+    // offset through (the span arithmetic downstream would then index
+    // stripes that do not exist).
+    if (request.offset > store_.file_size ||
+        request.out.size() > store_.file_size - request.offset)
       shape_error = "read past end of file";
   }
   if (!shape_error.empty()) {

@@ -37,12 +37,15 @@
 // transport-free so tests and benches drive it at memory speed.
 //
 // The node runs the one stripe engine (stair/stripe_engine.h), shared by
-// all its workers over one chunk staging pool: reads are served
-// sector-granularly through StripeReader::read_range — including degraded
-// reads during a device rebuild, which decode through the session plan
-// cache. Writes are stripe-granular: the stripe is re-encoded through the
-// Codec session, the StripeWriter rewrites all n chunks through long-lived
-// fds, and the manifest's sector checksums and whole-file fold are refreshed
+// all its workers over one chunk staging pool. Its only IO setting is the
+// engine: the store's layout decides O_DIRECT (StripeStore::open_mode), and
+// the staging pool registers with the engine whenever the engine accepts
+// (uring). Reads are served sector-granularly through
+// StripeReader::read_range — including degraded reads during a device
+// rebuild, which decode through the session plan cache. Writes are
+// stripe-granular: the stripe is re-encoded through the Codec session, the
+// StripeWriter rewrites all n chunks through long-lived fds, and the
+// manifest's sector checksums and whole-file fold are refreshed
 // and re-saved, so a drained store is always self-consistent.
 // Stripe-range locks order concurrent reads and writes of the same stripes;
 // a write racing a scrub pass is safe by the Scrubber's proven-before-write
@@ -68,7 +71,6 @@
 #include <vector>
 
 #include "stair/codec.h"
-#include "stair/io_pipeline.h"
 #include "stair/scrub_repair.h"
 #include "stair/stripe_engine.h"
 #include "util/latency.h"
@@ -137,10 +139,14 @@ class StorageNode {
     /// supplies one).
     bool scrub = false;
     ScrubOptions scrub_options;
-    /// IO options for the read/write path. `io.engine` (borrowed) is shared
-    /// by the node's reader and writer and by the scrubber — the
-    /// fault-injection seam; nullptr lets the node create one.
-    IoPipeline::Options io;
+    /// The read/write path's IO. `io.engine` (borrowed) is shared by the
+    /// node's reader and writer and by the scrubber — the fault-injection
+    /// seam; nullptr lets the node create one (io::Engine::create()). The
+    /// store's layout decides O_DIRECT, and the node's staging registers
+    /// with the engine whenever the engine accepts.
+    struct Io {
+      io::Engine* engine = nullptr;
+    } io;
   };
 
   struct TenantStats {

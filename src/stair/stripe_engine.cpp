@@ -143,12 +143,10 @@ struct StripeReader::Job {
   Done done;
 };
 
-StripeReader::StripeReader(Codec& codec, io::Engine& engine, ChunkStaging& staging,
-                           bool direct)
+StripeReader::StripeReader(Codec& codec, io::Engine& engine, ChunkStaging& staging)
     : codec_(codec),
       engine_(engine),
       staging_(staging),
-      direct_(direct),
       positions_(StripeStore::data_positions(codec.code().layout())) {}
 
 void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, const StripeStore& store,
@@ -325,9 +323,9 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
   const std::size_t block = store.block_bytes;
   // Aligned mode: O_DIRECT chunk fds accept only block-aligned transfers,
   // so sector reads widen to the enclosing block window inside the padded
-  // chunk (read into an aligned lease, copy out the wanted span). A legacy
-  // unpadded store, or direct mode off, keeps exact positioned reads.
-  const io::OpenMode mode = store.open_mode(direct_);
+  // chunk (read into an aligned lease, copy out the wanted span). An
+  // unpadded store keeps exact positioned reads.
+  const io::OpenMode mode = store.open_mode();
   const bool aligned = mode == io::OpenMode::kDirect;
   const std::size_t stripe_data = positions_.size() * symbol;
 

@@ -181,8 +181,7 @@ class StripeReader {
     bool decode = true;
   };
 
-  /// `direct`: read_range opens chunk files O_DIRECT on padded stores.
-  StripeReader(Codec& codec, io::Engine& engine, ChunkStaging& staging, bool direct);
+  StripeReader(Codec& codec, io::Engine& engine, ChunkStaging& staging);
 
   /// Reads stripe `stripe` of `store` from `fds` (one per device; < 0 =
   /// missing) into the slot's staging and runs `done`. Tallies land on
@@ -196,8 +195,9 @@ class StripeReader {
   /// the sectors the range needs and verifies each against the manifest;
   /// any miss sends that stripe through read() and the plan cache, and
   /// every reconstructed symbol the range needs is checked against the
-  /// manifest before its bytes are served. Device files open per call.
-  /// Thread-safe once the staging is reserved for `store`.
+  /// manifest before its bytes are served. Device files open per call, in
+  /// the store's open_mode(). Thread-safe once the staging is reserved for
+  /// `store`.
   IoStats read_range(const StripeStore& store, const std::string& dir,
                      std::uint64_t offset, std::span<std::uint8_t> out);
 
@@ -217,7 +217,6 @@ class StripeReader {
   Codec& codec_;
   io::Engine& engine_;
   ChunkStaging& staging_;
-  const bool direct_;
   const std::vector<StripeStore::Position> positions_;
   WorkspacePool<StripeSlot> range_slots_;  // read_range's escalations
   std::atomic<std::size_t> decoding_{0};

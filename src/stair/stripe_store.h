@@ -57,6 +57,9 @@ struct StripeStore {
   /// per-IO. 1 = the legacy unpadded layout (manifests without a `block`
   /// line load as 1, so old stores keep working byte-for-byte).
   std::size_t block_bytes = 1;
+  /// The block a padded (raw-device) store is encoded with: the device's
+  /// logical block size, where 4096 covers 512e and 4Kn disks.
+  static constexpr std::size_t kDirectBlockBytes = 4096;
   /// FNV over the per-stripe data checksums (8-byte LE each, stripe order) —
   /// order-independent to compute with stripes completing out of order.
   std::uint64_t data_checksum = 0;
@@ -80,11 +83,12 @@ struct StripeStore {
   /// Alignment for chunk staging buffers: the layout block, at least a
   /// cache line (the region kernels' alignment).
   std::size_t staging_alignment() const { return std::max<std::size_t>(block_bytes, 64); }
-  /// How chunk files open when raw-device IO is requested: O_DIRECT only on
-  /// a padded layout — a legacy (block 1) store has no alignment to offer,
-  /// so it stays buffered whatever `direct` says.
-  io::OpenMode open_mode(bool direct) const {
-    return direct && block_bytes > 1 ? io::OpenMode::kDirect : io::OpenMode::kBuffered;
+  /// How chunk files open, decided by the layout alone: a padded store
+  /// opens O_DIRECT (the engine falls back to buffered where the filesystem
+  /// refuses), an unpadded one has no alignment to offer and stays buffered.
+  /// Sub-block transfers (sector patches) open buffered on their own.
+  io::OpenMode open_mode() const {
+    return block_bytes > 1 ? io::OpenMode::kDirect : io::OpenMode::kBuffered;
   }
   /// Empty when the store was encoded with `codec_cfg`, else the error
   /// every layer reports before touching a chunk.

@@ -79,15 +79,15 @@ void raise_high_water(std::atomic<std::uint64_t>& hw, std::uint64_t v) {
   }
 }
 
-/// open(2) honoring OpenMode: a kDirect request (when the engine allows
-/// direct at all) first tries O_DIRECT and falls back to a plain open when
-/// the filesystem refuses — tmpfs/procfs style EINVAL — counting both
-/// outcomes so benches and tests can see which mode actually engaged.
-int open_with_mode(const char* path, int flags, OpenMode mode, bool allow_direct,
+/// open(2) honoring OpenMode: a kDirect request first tries O_DIRECT and
+/// falls back to a plain open when the filesystem refuses — tmpfs/procfs
+/// style EINVAL — counting both outcomes so benches and tests can see which
+/// mode actually engaged.
+int open_with_mode(const char* path, int flags, OpenMode mode,
                    std::atomic<std::uint64_t>& direct_opens,
                    std::atomic<std::uint64_t>& direct_fallbacks) {
 #ifdef O_DIRECT
-  if (mode == OpenMode::kDirect && allow_direct) {
+  if (mode == OpenMode::kDirect) {
     const int fd = ::open(path, flags | O_DIRECT, 0644);
     if (fd >= 0) {
       bump(direct_opens);
@@ -97,7 +97,6 @@ int open_with_mode(const char* path, int flags, OpenMode mode, bool allow_direct
   }
 #else
   (void)mode;
-  (void)allow_direct;
   (void)direct_opens;
   (void)direct_fallbacks;
 #endif
@@ -117,20 +116,18 @@ PhaseScope::PhaseScope(IoPhase phase) : prev_(phase_slot()) { phase_slot() = pha
 PhaseScope::~PhaseScope() { phase_slot() = prev_; }
 
 int Engine::open_read(const std::string& path, OpenMode mode) {
-  return open_with_mode(path.c_str(), O_RDONLY | O_CLOEXEC, mode, options_.direct,
-                        counters_.direct_opens, counters_.direct_fallbacks);
+  return open_with_mode(path.c_str(), O_RDONLY | O_CLOEXEC, mode, counters_.direct_opens,
+                        counters_.direct_fallbacks);
 }
 
 int Engine::open_write(const std::string& path, OpenMode mode) {
   return open_with_mode(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, mode,
-                        options_.direct, counters_.direct_opens,
-                        counters_.direct_fallbacks);
+                        counters_.direct_opens, counters_.direct_fallbacks);
 }
 
 int Engine::open_update(const std::string& path, OpenMode mode) {
   return open_with_mode(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, mode,
-                        options_.direct, counters_.direct_opens,
-                        counters_.direct_fallbacks);
+                        counters_.direct_opens, counters_.direct_fallbacks);
 }
 
 void Engine::close(int fd) {
@@ -228,7 +225,7 @@ Result write_full(int fd, std::uint64_t offset, std::span<const std::uint8_t> bu
 
 class ThreadEngine : public Engine {
  public:
-  explicit ThreadEngine(Options options) : Engine(options) {
+  explicit ThreadEngine(const Options& options) {
     const std::size_t n = options.threads ? options.threads : 1;
     workers_.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -346,7 +343,7 @@ class UringEngine : public Engine {
  public:
   /// Throws std::runtime_error when the ring cannot be set up (caller falls
   /// back to the thread backend).
-  explicit UringEngine(Options options) : Engine(options) {
+  explicit UringEngine(const Options& options) {
     unsigned entries = 8;
     while (entries < options.queue_depth && entries < 4096) entries *= 2;
     std::memset(&params_, 0, sizeof params_);
@@ -445,7 +442,6 @@ class UringEngine : public Engine {
   }
 
   int register_buffers(std::span<const std::span<std::uint8_t>> regions) override {
-    if (!options_.fixed_buffers) return ENOTSUP;
     std::lock_guard<std::mutex> lock(mu_);
     if (!regions_.empty()) {
       sys_io_uring_register(ring_fd_, IORING_UNREGISTER_BUFFERS, nullptr, 0);
@@ -813,10 +809,9 @@ std::unique_ptr<Engine> Engine::create(Backend requested, Options options) {
   return std::make_unique<ThreadEngine>(options);
 }
 
-Engine* engine_or_create(Engine* borrowed, Backend backend, const Engine::Options& options,
-                         std::unique_ptr<Engine>& owned) {
+Engine* engine_or_create(Engine* borrowed, std::unique_ptr<Engine>& owned) {
   if (borrowed) return borrowed;
-  owned = Engine::create(backend == Backend::kAuto ? backend_from_env() : backend, options);
+  owned = Engine::create();
   return owned.get();
 }
 
@@ -925,116 +920,99 @@ std::optional<Fault> FaultInjectingEngine::match(bool is_write, int fd,
   return std::nullopt;
 }
 
+namespace {
+
+/// One read through the fault plan: `fault` (if any) decides what the
+/// caller sees, `forward(buf, cb)` submits to the inner engine — plain or
+/// fixed, the faults are the same. Callbacks pass by rvalue reference, so
+/// the fold moves each one no more often than a direct call would.
+template <typename Forward>
+void faulty_read(const std::optional<Fault>& fault, std::span<std::uint8_t> buf, Callback&& cb,
+                 Forward&& forward) {
+  if (fault) {
+    switch (fault->kind) {
+      case Fault::Kind::kReadError:
+        cb(Result{fault->error, 0});
+        return;
+      case Fault::Kind::kShortRead: {
+        // Deliver a genuine prefix, then under-report: the bytes the "device"
+        // managed before giving up.
+        const std::size_t keep = std::min(fault->keep_bytes, buf.size());
+        forward(buf, [cb = std::move(cb), keep](const Result& r) {
+          cb(Result{0, std::min(keep, r.bytes)});
+        });
+        return;
+      }
+      default:  // write kinds never match reads
+        break;
+    }
+  }
+  forward(buf, std::move(cb));
+}
+
+/// faulty_read's counterpart for writes.
+template <typename Forward>
+void faulty_write(const std::optional<Fault>& fault, std::span<const std::uint8_t> buf,
+                  Callback&& cb, Forward&& forward) {
+  if (fault) {
+    switch (fault->kind) {
+      case Fault::Kind::kWriteError:
+        cb(Result{fault->error, 0});
+        return;
+      case Fault::Kind::kTornWrite: {
+        // The prefix lands; the report claims everything did. The lie is what
+        // per-chunk checksums exist to catch on the next read.
+        const std::size_t keep = std::min(fault->keep_bytes, buf.size());
+        const std::size_t full = buf.size();
+        if (keep == 0) {
+          cb(Result{0, full});
+          return;
+        }
+        forward(buf.first(keep),
+                [cb = std::move(cb), full](const Result&) { cb(Result{0, full}); });
+        return;
+      }
+      default:  // read kinds never match writes
+        break;
+    }
+  }
+  forward(buf, std::move(cb));
+}
+
+}  // namespace
+
 void FaultInjectingEngine::read(int fd, std::uint64_t offset,
                                 std::span<std::uint8_t> buf, Callback cb) {
-  const auto fault = match(false, fd, offset, buf.size());
-  if (!fault) {
-    inner_->read(fd, offset, buf, std::move(cb));
-    return;
-  }
-  switch (fault->kind) {
-    case Fault::Kind::kReadError:
-      cb(Result{fault->error, 0});
-      return;
-    case Fault::Kind::kShortRead: {
-      // Deliver a genuine prefix, then under-report: the bytes the "device"
-      // managed before giving up.
-      const std::size_t keep = std::min(fault->keep_bytes, buf.size());
-      inner_->read(fd, offset, buf, [cb = std::move(cb), keep](const Result& r) {
-        cb(Result{0, std::min(keep, r.bytes)});
-      });
-      return;
-    }
-    default:  // write kinds never match reads
-      inner_->read(fd, offset, buf, std::move(cb));
-      return;
-  }
+  faulty_read(match(false, fd, offset, buf.size()), buf, std::move(cb),
+              [&](std::span<std::uint8_t> b, Callback&& c) {
+                inner_->read(fd, offset, b, std::move(c));
+              });
 }
 
 void FaultInjectingEngine::read_fixed(int fd, std::uint64_t offset,
                                       std::span<std::uint8_t> buf, int buf_index,
                                       Callback cb) {
-  const auto fault = match(false, fd, offset, buf.size());
-  if (!fault) {
-    inner_->read_fixed(fd, offset, buf, buf_index, std::move(cb));
-    return;
-  }
-  switch (fault->kind) {
-    case Fault::Kind::kReadError:
-      cb(Result{fault->error, 0});
-      return;
-    case Fault::Kind::kShortRead: {
-      const std::size_t keep = std::min(fault->keep_bytes, buf.size());
-      inner_->read_fixed(fd, offset, buf, buf_index,
-                         [cb = std::move(cb), keep](const Result& r) {
-                           cb(Result{0, std::min(keep, r.bytes)});
-                         });
-      return;
-    }
-    default:
-      inner_->read_fixed(fd, offset, buf, buf_index, std::move(cb));
-      return;
-  }
+  faulty_read(match(false, fd, offset, buf.size()), buf, std::move(cb),
+              [&](std::span<std::uint8_t> b, Callback&& c) {
+                inner_->read_fixed(fd, offset, b, buf_index, std::move(c));
+              });
 }
 
 void FaultInjectingEngine::write(int fd, std::uint64_t offset,
                                  std::span<const std::uint8_t> buf, Callback cb) {
-  const auto fault = match(true, fd, offset, buf.size());
-  if (!fault) {
-    inner_->write(fd, offset, buf, std::move(cb));
-    return;
-  }
-  switch (fault->kind) {
-    case Fault::Kind::kWriteError:
-      cb(Result{fault->error, 0});
-      return;
-    case Fault::Kind::kTornWrite: {
-      // The prefix lands; the report claims everything did. The lie is what
-      // per-chunk checksums exist to catch on the next read.
-      const std::size_t keep = std::min(fault->keep_bytes, buf.size());
-      const std::size_t full = buf.size();
-      if (keep == 0) {
-        cb(Result{0, full});
-        return;
-      }
-      inner_->write(fd, offset, buf.first(keep),
-                    [cb = std::move(cb), full](const Result&) { cb(Result{0, full}); });
-      return;
-    }
-    default:
-      inner_->write(fd, offset, buf, std::move(cb));
-      return;
-  }
+  faulty_write(match(true, fd, offset, buf.size()), buf, std::move(cb),
+               [&](std::span<const std::uint8_t> b, Callback&& c) {
+                 inner_->write(fd, offset, b, std::move(c));
+               });
 }
 
 void FaultInjectingEngine::write_fixed(int fd, std::uint64_t offset,
                                        std::span<const std::uint8_t> buf,
                                        int buf_index, Callback cb) {
-  const auto fault = match(true, fd, offset, buf.size());
-  if (!fault) {
-    inner_->write_fixed(fd, offset, buf, buf_index, std::move(cb));
-    return;
-  }
-  switch (fault->kind) {
-    case Fault::Kind::kWriteError:
-      cb(Result{fault->error, 0});
-      return;
-    case Fault::Kind::kTornWrite: {
-      const std::size_t keep = std::min(fault->keep_bytes, buf.size());
-      const std::size_t full = buf.size();
-      if (keep == 0) {
-        cb(Result{0, full});
-        return;
-      }
-      inner_->write_fixed(
-          fd, offset, buf.first(keep), buf_index,
-          [cb = std::move(cb), full](const Result&) { cb(Result{0, full}); });
-      return;
-    }
-    default:
-      inner_->write_fixed(fd, offset, buf, buf_index, std::move(cb));
-      return;
-  }
+  faulty_write(match(true, fd, offset, buf.size()), buf, std::move(cb),
+               [&](std::span<const std::uint8_t> b, Callback&& c) {
+                 inner_->write_fixed(fd, offset, b, buf_index, std::move(c));
+               });
 }
 
 Engine::Stats FaultInjectingEngine::stats() const {

@@ -112,9 +112,10 @@ const char* backend_name(Backend b);
 /// the bad value — a typo must not silently become kAuto.
 Backend backend_from_env();
 
-/// STAIR_IO_DIRECT: truthy (1/true/yes/on) requests O_DIRECT chunk IO from
-/// the layers that can use it (IoPipeline, Scrubber). Falsy/unset: buffered.
-/// Unrecognized values throw, like backend_from_env.
+/// STAIR_IO_DIRECT: truthy (1/true/yes/on) makes IoPipeline encode the
+/// block-padded store layout, which every layer then reads O_DIRECT.
+/// Falsy/unset: the unpadded, buffered layout. Unrecognized values throw,
+/// like backend_from_env.
 bool direct_from_env();
 
 /// STAIR_IO_SQPOLL: truthy requests IORING_SETUP_SQPOLL for uring engines
@@ -166,13 +167,6 @@ class Engine {
     std::size_t queue_depth = 64;
     /// Worker threads performing pread/pwrite (thread backend only).
     std::size_t threads = 2;
-    /// Honor OpenMode::kDirect (false: every open is buffered regardless of
-    /// the requested mode — the big switch for A/B benches).
-    bool direct = true;
-    /// Allow register_buffers to actually pin with the backend (false: it
-    /// reports ENOTSUP and every fixed op takes the plain path — the other
-    /// half of the A/B matrix).
-    bool fixed_buffers = true;
     /// uring: request IORING_SETUP_SQPOLL (kernel-side submission polling).
     /// Downgrades to a normal ring when the kernel refuses.
     bool sqpoll = false;
@@ -199,7 +193,6 @@ class Engine {
   };
 
   Engine() = default;
-  explicit Engine(Options options) : options_(options) {}
   virtual ~Engine() = default;
 
   /// The backend actually running (kAuto never; create() resolves it).
@@ -287,15 +280,14 @@ class Engine {
     std::atomic<std::uint64_t> direct_opens{0}, direct_fallbacks{0};
   };
 
-  Options options_{};
   Counters counters_;
 };
 
 /// The engine a layer runs on: `borrowed` when non-null, otherwise a new
-/// engine kept in `owned`. kAuto defers to STAIR_IO_BACKEND (a misspelled
-/// value throws); an explicit backend wins over the env.
-Engine* engine_or_create(Engine* borrowed, Backend backend, const Engine::Options& options,
-                         std::unique_ptr<Engine>& owned);
+/// engine from Engine::create() kept in `owned` — the one place a layer's
+/// engine reads STAIR_IO_BACKEND and STAIR_IO_SQPOLL (a misspelled value of
+/// either throws).
+Engine* engine_or_create(Engine* borrowed, std::unique_ptr<Engine>& owned);
 
 // ---------------------------------------------------------------------------
 // Fault injection

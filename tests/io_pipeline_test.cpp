@@ -134,10 +134,11 @@ TEST(IoPipeline, RoundTripAllBackendsAndDepths) {
       const std::size_t data_bytes =
           codec.code().data_symbol_count() * c.symbol * 4 + 1234;
       IoPipeline::Stats enc;
+      const auto engine = io::Engine::create(backend);
       const auto data = encode_store(dir, c, data_bytes, 42,
-                                     {.queue_depth = depth, .backend = backend}, &enc);
+                                     {.queue_depth = depth, .engine = engine.get()}, &enc);
       EXPECT_EQ(enc.stripes, 5u);
-      const auto dec = decode_store(dir, c, {.queue_depth = depth, .backend = backend});
+      const auto dec = decode_store(dir, c, {.queue_depth = depth, .engine = engine.get()});
       EXPECT_TRUE(dec.ok) << dec.error;
       EXPECT_EQ(dec.degraded_stripes, 0u);
       EXPECT_EQ(read_all(dir.path / "output.bin"), data);
@@ -469,9 +470,10 @@ TEST(IoPipelineDeterminism, CrossBackendByteIdenticalStores) {
 
             ThreadPool pool(width);
             Codec codec(c.cfg, {.pool = &pool});
+            const auto engine = io::Engine::create(iob);
             IoPipeline pipeline(codec, {.queue_depth = 3,
                                         .symbol_bytes = c.symbol,
-                                        .backend = iob});
+                                        .engine = engine.get()});
             const auto enc = pipeline.encode_file((dir.path / "input.bin").string(),
                                                   store.string());
             ASSERT_TRUE(enc.ok) << enc.error;
@@ -644,7 +646,7 @@ TEST(IoPipelineRangedRead, ByteExactAcrossOffsetsAndBoundaries) {
   const auto st = pipeline.read_range(store, (dir.path / "store").string(), 0, one);
   ASSERT_TRUE(st.ok) << st.error;
   std::size_t expect_read = c.symbol;
-  if (io::direct_from_env() && store.block_bytes > 1)
+  if (store.block_bytes > 1)
     expect_read = std::min(store.padded_chunk_bytes(),
                            (c.symbol + store.block_bytes - 1) / store.block_bytes *
                                store.block_bytes);
@@ -684,7 +686,8 @@ TEST(IoPipelineRangedRead, DegradedRangesServedByteExact) {
       flip_bytes(dev_path(dir, 3), 2 * c.symbol, 32);  // torn sector, stripe 0
 
       Codec codec(c.cfg);
-      IoPipeline pipeline(codec, {.symbol_bytes = c.symbol, .backend = iob});
+      const auto engine = io::Engine::create(iob);
+      IoPipeline pipeline(codec, {.symbol_bytes = c.symbol, .engine = engine.get()});
       for (const std::uint64_t offset : {std::uint64_t{0}, std::uint64_t{bytes / 3}}) {
         std::vector<std::uint8_t> out(8192);
         const auto st = pipeline.read_range((dir.path / "store").string(), offset, out);
@@ -709,8 +712,9 @@ TEST(RawDeviceLayout, OddSymbolSizesAndTailSectorsRoundTrip) {
   for (io::Backend iob : io_backends()) {
     SCOPED_TRACE(io::backend_name(iob));
     TempDir dir("oddsym");
+    const auto engine = io::Engine::create(iob);
     const auto data = encode_store(dir, c, bytes, 41,
-                                   {.direct = true, .backend = iob});
+                                   {.direct = true, .engine = engine.get()});
 
     const auto store = StripeStore::load((dir.path / "store").string());
     EXPECT_EQ(store.block_bytes, 4096u);
@@ -720,7 +724,7 @@ TEST(RawDeviceLayout, OddSymbolSizesAndTailSectorsRoundTrip) {
     EXPECT_EQ(fs::file_size(dev_path(dir, 0)),
               store.stripes * store.padded_chunk_bytes());
 
-    const auto dec = decode_store(dir, c, {.direct = true, .backend = iob});
+    const auto dec = decode_store(dir, c, {.engine = engine.get()});
     ASSERT_TRUE(dec.ok) << dec.error;
     EXPECT_EQ(read_all(dir.path / "output.bin"), data);
 
@@ -728,8 +732,7 @@ TEST(RawDeviceLayout, OddSymbolSizesAndTailSectorsRoundTrip) {
     // partially-filled final stripe whose aligned read window is clamped to
     // the padded chunk.
     Codec codec(c.cfg);
-    IoPipeline pipeline(codec, {.symbol_bytes = c.symbol, .direct = true,
-                                .backend = iob});
+    IoPipeline pipeline(codec, {.symbol_bytes = c.symbol, .engine = engine.get()});
     std::vector<std::uint8_t> out(100);
     const auto st =
         pipeline.read_range((dir.path / "store").string(), bytes - 100, out);
@@ -752,11 +755,13 @@ TEST(RawDeviceLayout, LegacyManifestWithoutBlockLineLoadsUnpadded) {
   EXPECT_EQ(store.block_bytes, 1u);
   EXPECT_EQ(store.padded_chunk_bytes(), store.chunk_bytes());
 
-  // Decoding with direct *requested* must not try to impose the padded
-  // layout on a legacy store — block 1 keeps every open buffered.
-  const auto dec = decode_store(dir, c, {.direct = true});
+  // `direct` only picks the layout of stores a pipeline encodes; reading a
+  // legacy store opens every chunk buffered, because block 1 says so.
+  const auto engine = io::Engine::create();
+  const auto dec = decode_store(dir, c, {.direct = true, .engine = engine.get()});
   ASSERT_TRUE(dec.ok) << dec.error;
   EXPECT_EQ(read_all(dir.path / "output.bin"), data);
+  EXPECT_EQ(engine->stats().direct_opens + engine->stats().direct_fallbacks, 0u);
 }
 
 // A filesystem that refuses O_DIRECT must not change a single stored byte:
@@ -770,7 +775,8 @@ TEST(RawDeviceLayout, RejectedDirectFallsBackToBufferedByteIdentically) {
     TempDir dir_direct("rejdir_a");
     TempDir dir_reject("rejdir_b");
 
-    encode_store(dir_direct, c, 60 * 1000, 43, {.direct = true, .backend = iob});
+    const auto engine = io::Engine::create(iob);
+    encode_store(dir_direct, c, 60 * 1000, 43, {.direct = true, .engine = engine.get()});
 
     auto injected = std::make_unique<io::FaultInjectingEngine>(
         io::Engine::create(iob, {}));
@@ -792,45 +798,44 @@ TEST(RawDeviceLayout, RejectedDirectFallsBackToBufferedByteIdentically) {
   }
 }
 
-// fixed_buffers off vs on is a pure transport switch: same bytes on disk,
-// different submission path. On uring the fixed path must actually engage
-// (fixed ops counted, zero fallbacks) when the registered pool covers the
-// ring; with registration disabled every transfer is a counted fallback.
-TEST(RawDeviceLayout, FixedBufferSwitchIsByteIdenticalAndObservable) {
+// Registered buffers are the engine's call, not an option: every pipeline
+// asks, fixed_buffers_active() reports exactly whether the engine accepted,
+// and the bytes on disk never depend on the answer. On uring the fixed path
+// must actually engage (fixed ops counted, zero fallbacks) when the
+// registered pool covers the ring; the thread backend refuses registration
+// and every transfer stays plain.
+TEST(RawDeviceLayout, FixedBuffersFollowTheEngineAndStoresMatchAcrossBackends) {
   const StoreCase c = fault_cases()[0];
+  TempDir input_dir("fixed_input");
+  const fs::path input = input_dir.path / "input.bin";
+  write_random_file(input, 50 * 1000, 44);
+  std::vector<std::vector<std::uint8_t>> ref_devs;
   for (io::Backend iob : io_backends()) {
     SCOPED_TRACE(io::backend_name(iob));
-    TempDir dir_fixed("fixed_a");
-    TempDir dir_plain("fixed_b");
-
+    TempDir dir("fixed");
+    const auto engine = io::Engine::create(iob);
     Codec codec(c.cfg);
-    IoPipeline fixed_pipe(codec, {.symbol_bytes = c.symbol, .direct = true,
-                                  .fixed_buffers = true, .backend = iob});
-    IoPipeline plain_pipe(codec, {.symbol_bytes = c.symbol, .direct = true,
-                                  .fixed_buffers = false, .backend = iob});
+    IoPipeline pipeline(codec, {.symbol_bytes = c.symbol, .direct = true,
+                                .engine = engine.get()});
+    ASSERT_TRUE(pipeline.encode_file(input.string(), (dir.path / "store").string()).ok);
 
-    const auto input_a = write_random_file(dir_fixed.path / "input.bin", 50 * 1000, 44);
-    const auto input_b = write_random_file(dir_plain.path / "input.bin", 50 * 1000, 44);
-    ASSERT_EQ(input_a, input_b);
-    ASSERT_TRUE(fixed_pipe.encode_file((dir_fixed.path / "input.bin").string(),
-                                       (dir_fixed.path / "store").string()).ok);
-    ASSERT_TRUE(plain_pipe.encode_file((dir_plain.path / "input.bin").string(),
-                                       (dir_plain.path / "store").string()).ok);
-
-    for (std::size_t j = 0; j < c.cfg.n; ++j)
-      EXPECT_EQ(read_all(StripeStore::device_path((dir_fixed.path / "store").string(), j)),
-                read_all(StripeStore::device_path((dir_plain.path / "store").string(), j)))
-          << "device " << j;
-
-    const auto fixed_stats = fixed_pipe.engine().stats();
-    const auto plain_stats = plain_pipe.engine().stats();
+    const auto stats = engine->stats();
+    EXPECT_EQ(pipeline.fixed_buffers_active(), stats.registered_buffers > 0);
     if (iob == io::Backend::kUring) {
-      EXPECT_TRUE(fixed_pipe.fixed_buffers_active());
-      EXPECT_GT(fixed_stats.fixed_writes, 0u);
-      EXPECT_EQ(fixed_stats.fixed_fallbacks, 0u);
+      EXPECT_TRUE(pipeline.fixed_buffers_active());
+      EXPECT_GT(stats.fixed_writes, 0u);
+      EXPECT_EQ(stats.fixed_fallbacks, 0u);
+    } else {
+      EXPECT_FALSE(pipeline.fixed_buffers_active());
+      EXPECT_EQ(stats.fixed_writes, 0u);
     }
-    EXPECT_FALSE(plain_pipe.fixed_buffers_active());
-    EXPECT_EQ(plain_stats.fixed_writes, 0u);
+
+    std::vector<std::vector<std::uint8_t>> devs;
+    for (std::size_t j = 0; j < c.cfg.n; ++j) devs.push_back(read_all(dev_path(dir, j)));
+    if (ref_devs.empty())
+      ref_devs = std::move(devs);
+    else
+      EXPECT_EQ(devs, ref_devs) << "device bytes diverged across IO backends";
   }
 }
 

@@ -121,6 +121,17 @@ TEST(SectorModels, IndependentPmfIsBinomial) {
   EXPECT_NEAR(pmf[2], 120.0 * p * p * std::pow(1.0 - p, 14.0), 1e-15);
 }
 
+// The degenerate rates are point masses, not 0 * log(0) NaNs: p_sec = 0 is a
+// device-only model's input.
+TEST(SectorModels, IndependentPmfDegenerateRatesArePointMasses) {
+  const std::size_t r = 8;
+  std::vector<double> none(r + 1, 0.0), all(r + 1, 0.0);
+  none[0] = 1.0;
+  all[r] = 1.0;
+  EXPECT_EQ(independent_chunk_pmf(0.0, r), none);
+  EXPECT_EQ(independent_chunk_pmf(1.0, r), all);
+}
+
 TEST(SectorModels, BurstDistributionIsProper) {
   for (const auto& [b1, alpha] : std::vector<std::pair<double, double>>{
            {0.9, 1.0}, {0.98, 1.79}, {0.99, 2.0}, {0.999, 3.0}, {0.9999, 4.0}}) {

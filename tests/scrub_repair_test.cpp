@@ -134,7 +134,8 @@ TEST(ScrubRepairTest, CleanStoreScrubsQuietly) {
     encode_store(dir, c, 64 * 1024, 41);
 
     Codec codec(c.cfg);
-    Scrubber scrubber(codec, {.backend = backend});
+    const auto engine = io::Engine::create(backend);
+    Scrubber scrubber(codec, {.engine = engine.get()});
     const ScrubReport rep = scrubber.scrub(store_dir(dir));
     EXPECT_TRUE(rep.ok) << rep.error;
     EXPECT_TRUE(rep.completed);
@@ -179,7 +180,8 @@ TEST(ScrubRepairTest, RepairsFlippedSectorsByteIdentically) {
         flip_bytes(dev_path(dir, 3), store.chunk_offset(1) + 2 * c.symbol, 32);
 
         Codec codec(c.cfg);
-        Scrubber scrubber(codec, {.backend = backend});
+        const auto engine = io::Engine::create(backend);
+        Scrubber scrubber(codec, {.engine = engine.get()});
         const ScrubReport rep = scrubber.scrub(store_dir(dir));
         EXPECT_TRUE(rep.ok) << rep.error;
         EXPECT_EQ(rep.sectors_corrupt, 2u);
@@ -289,7 +291,8 @@ TEST(ScrubRepairTest, RebuildsDeviceUnderConcurrencyBound) {
     fs::remove(dev_path(dir, 3));
 
     Codec codec(c.cfg);
-    Scrubber scrubber(codec, {.stripes_in_flight = 3, .backend = backend});
+    const auto engine = io::Engine::create(backend);
+    Scrubber scrubber(codec, {.stripes_in_flight = 3, .engine = engine.get()});
     const ScrubReport rep = scrubber.rebuild_device(store_dir(dir), 3);
     EXPECT_TRUE(rep.ok) << rep.error;
     EXPECT_TRUE(rep.completed);

@@ -239,6 +239,31 @@ TEST(ServiceTest, MalformedRequestsFailWithoutRejecting) {
   node.stop();
 }
 
+// offset + size can wrap past 2^64 to a small sum that looks in range; the
+// node must refuse such a read at admission and keep serving, not compute a
+// stripe span from the wrapped end.
+TEST(ServiceTest, ReadRangeWrappingPast2To64FailsCleanly) {
+  TempDir dir("wrap");
+  const auto data = encode_store(dir, 20'000, 15);
+  Codec codec(kCfg);
+  StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 1});
+  node.start();
+
+  std::vector<std::uint8_t> buf(16);
+  const std::uint64_t wraps = ~std::uint64_t{0} - (buf.size() - 1);  // 2^64 - 16
+  for (const RequestType type : {RequestType::kRead, RequestType::kScan}) {
+    const Response r = node.submit(read_req(0, wraps, buf, type)).wait();
+    EXPECT_FALSE(r.ok);
+    EXPECT_FALSE(r.rejected);
+    EXPECT_EQ(r.error, "read past end of file");
+  }
+
+  const Response next = node.submit(read_req(0, 100, buf)).wait();
+  ASSERT_TRUE(next.ok) << next.error;
+  EXPECT_EQ(0, std::memcmp(buf.data(), data.data() + 100, buf.size()));
+  node.stop();
+}
+
 TEST(ServiceTest, FullQueueRejectsFastAndStaysBounded) {
   TempDir dir("bounded");
   encode_store(dir, 30'000, 5);
@@ -580,6 +605,29 @@ TEST(ServiceTest, NodeHonorsIoBackendEnv) {
     ::setenv("STAIR_IO_BACKEND", saved.c_str(), 1);
   else
     ::unsetenv("STAIR_IO_BACKEND");
+}
+
+// STAIR_IO_SQPOLL reaches every layer that builds its own engine, exactly
+// like STAIR_IO_BACKEND: a misspelled value fails loudly instead of quietly
+// running without the submission poller it asked for.
+TEST(ServiceTest, EveryLayerHonorsIoSqpollEnv) {
+  TempDir dir("sqpoll_env");
+  encode_store(dir, 20'000, 16);
+  const char* prev = std::getenv("STAIR_IO_SQPOLL");
+  const std::string saved = prev ? prev : "";
+  ::setenv("STAIR_IO_SQPOLL", "bogus", 1);
+
+  Codec codec(kCfg);
+  EXPECT_THROW(IoPipeline(codec, {.symbol_bytes = kSymbol}), std::runtime_error);
+  EXPECT_THROW(Scrubber(codec, ScrubOptions{}), std::runtime_error);
+  StorageNode node(codec, store_dir(dir), {.tenants = 1, .workers = 1});
+  EXPECT_THROW(node.start(), std::runtime_error);
+  EXPECT_FALSE(node.started());
+
+  if (prev)
+    ::setenv("STAIR_IO_SQPOLL", saved.c_str(), 1);
+  else
+    ::unsetenv("STAIR_IO_SQPOLL");
 }
 
 }  // namespace

@@ -1,15 +1,13 @@
 // Simulator tests: byte-exact end-to-end recovery through DataPathArray,
-// failure-injection statistics matching the configured models, Monte-Carlo
-// MTTDL agreeing with the analytic §7 model at inflated rates, and the
-// scrubbing model's limits.
+// failure-injection statistics matching the configured models, and the
+// scrubbing model's limits. (Simulated MTTDL against the analytic §7 model
+// lives in cluster_sim_test's agreement battery.)
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "reliability/mttdl.h"
-#include "reliability/pstr.h"
 #include "reliability/sector_models.h"
 #include "sim/array_sim.h"
 #include "sim/scrubber.h"
@@ -228,65 +226,6 @@ TEST(DataPathArray, RepeatedDamageRepairCycles) {
     ASSERT_EQ(array.repair_all(), 0u) << "round " << round;
     ASSERT_TRUE(array.verify()) << "round " << round;
   }
-}
-
-TEST(MonteCarlo, PureDeviceFailureMttdlMatchesMarkov) {
-  // With sector failures off, the analytic m = 1 model reduces to the classic
-  // double-failure MTTDL; the simulation must land on it within noise.
-  MonteCarloParams params;
-  params.n = 8;
-  params.r = 8;
-  params.stripes = 1;
-  params.mttf_hours = 1000.0;
-  params.rebuild_hours = 50.0;  // inflated to make losses common
-  params.sector.p_sec = 0.0;
-  params.episodes = 6000;
-  params.seed = 5;
-
-  const auto result =
-      simulate_array_mttdl(params, [](const std::vector<bool>&) { return true; });
-  ASSERT_GT(result.data_loss_events, 100u);
-
-  reliability::SystemParams p;
-  p.n = params.n;
-  p.mttf_hours = params.mttf_hours;
-  p.rebuild_hours = params.rebuild_hours;
-  const double analytic = reliability::mttdl_array(p, 0.0);
-  EXPECT_NEAR(result.mttdl_hours / analytic, 1.0, 0.15);
-}
-
-TEST(MonteCarlo, SectorFailuresMatchAnalyticParr) {
-  // Inflate p_sec so critical-mode losses dominate, then compare against the
-  // analytic MTTDL built from the same P_str.
-  MonteCarloParams params;
-  params.n = 8;
-  params.r = 16;
-  params.stripes = 50;
-  params.mttf_hours = 10000.0;
-  params.rebuild_hours = 1.0;  // second-device losses negligible
-  params.sector = {SectorModel::kIndependent, 2e-3};
-  params.episodes = 4000;
-  params.seed = 17;
-
-  // Code under test: STAIR e = (1,2) pattern feasibility.
-  const StairConfig cfg{.n = 8, .r = 16, .m = 1, .e = {1, 2}};
-  const StairCode code(cfg);
-  const auto check = [&](const std::vector<bool>& mask) {
-    return code.is_recoverable(mask);
-  };
-  const auto result = simulate_array_mttdl(params, check);
-  ASSERT_GT(result.sector_loss_events, 30u);
-
-  reliability::SystemParams p;
-  p.n = params.n;
-  p.r = params.r;
-  p.mttf_hours = params.mttf_hours;
-  p.rebuild_hours = params.rebuild_hours;
-  p.device_bytes = params.stripes * p.sector_bytes * params.r;  // 50 stripes
-  const auto pchk = reliability::independent_chunk_pmf(params.sector.p_sec, params.r);
-  const double pstr = reliability::pstr_stair(pchk, params.n - 1, cfg.e);
-  const double analytic = reliability::mttdl_array(p, reliability::p_arr(p, pstr));
-  EXPECT_NEAR(result.mttdl_hours / analytic, 1.0, 0.35);
 }
 
 TEST(Scrubber, LatentErrorProbabilityLimits) {

@@ -1,16 +1,21 @@
 // Stripe engine battery: every read path runs the one StripeReader, so on
 // every damage shape — a lost device, scattered torn sectors, a device plus
-// sectors, damage beyond coverage — decode_file, a whole-file read_range, a
-// detect-only scrub and a StorageNode read must agree on the bytes, the
-// degraded-stripe count and the unrecoverable verdict. Plus the plan-cache
-// contract of degraded ranged reads: one failure epoch, one inversion.
+// sectors, damage beyond coverage — and on both store layouts, decode_file,
+// a whole-file read_range, a detect-only scrub and a StorageNode read must
+// agree on the bytes, the degraded-stripe count and the unrecoverable
+// verdict, and must each open chunk files the way the layout says (O_DIRECT
+// on a padded store, buffered on an unpadded one, whatever STAIR_IO_DIRECT
+// says). Plus the plan-cache contract of degraded ranged reads: one failure
+// epoch, one inversion.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,7 +50,40 @@ const StairConfig kCfg{.n = 8, .r = 6, .m = 2, .e = {1, 2}, .w = 8};
 constexpr std::size_t kSymbol = 256;
 constexpr std::size_t kFileBytes = 30'000;  // 4 stripes, the last partial
 
-std::vector<std::uint8_t> encode_store(const TempDir& dir, std::uint64_t seed) {
+/// Sets (value) or unsets (nullptr) an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prev = std::getenv(name)) saved_ = prev;
+    if (value)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (saved_)
+      ::setenv(name_, saved_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// O_DIRECT opens `engine` has requested, whether or not the filesystem
+/// took them.
+std::uint64_t direct_requests(io::Engine& engine) {
+  const io::Engine::Stats st = engine.stats();
+  return st.direct_opens + st.direct_fallbacks;
+}
+
+/// `padded`: encode the block-padded (raw-device) layout.
+std::vector<std::uint8_t> encode_store(const TempDir& dir, std::uint64_t seed,
+                                       bool padded = io::direct_from_env()) {
   std::vector<std::uint8_t> data(kFileBytes);
   Rng(seed).fill(data);
   {
@@ -54,7 +92,7 @@ std::vector<std::uint8_t> encode_store(const TempDir& dir, std::uint64_t seed) {
               static_cast<std::streamsize>(data.size()));
   }
   Codec codec(kCfg);
-  IoPipeline pipeline(codec, {.symbol_bytes = kSymbol});
+  IoPipeline pipeline(codec, {.symbol_bytes = kSymbol, .direct = padded});
   const auto st = pipeline.encode_file((dir.path / "input.bin").string(), dir.store());
   EXPECT_TRUE(st.ok) << st.error;
   return data;
@@ -99,64 +137,81 @@ TEST(StripeEngine, ReadPathsAgreeOnEveryDamageShape) {
       {"device_plus_sectors", {1}, {{1, 4}, {3, 9}}, 4, false},
       {"beyond_coverage", {}, {{3, 0}, {3, 1}, {3, 2}, {3, 3}, {3, 4}}, 1, true},
   };
-  for (const Shape& shape : shapes) {
-    SCOPED_TRACE(shape.name);
-    TempDir dir(shape.name);
-    const auto data = encode_store(dir, 60);
-    const StripeStore store = StripeStore::load(dir.store());
-    Codec codec(kCfg);
-    const auto positions = StripeStore::data_positions(codec.code().layout());
-    ASSERT_EQ(store.stripes, 4u);
-
-    std::vector<bool> last_mask(kCfg.r * kCfg.n, false);
-    for (const auto& [stripe, d] : shape.torn) {
-      const auto [row, dev] = positions[d];
-      tear_sector(dir, store, stripe, row, dev);
-      if (stripe == 3) last_mask[row * kCfg.n + dev] = true;
-    }
-    for (std::size_t dev : shape.lost_devices)
-      ASSERT_TRUE(fs::remove(StripeStore::device_path(dir.store(), dev)));
-    ASSERT_EQ(codec.code().is_recoverable(last_mask), !shape.unrecoverable)
-        << "the shape must really sit on its side of the coverage boundary";
-
-    // Bytes outside the unrecoverable stripe (all of them when recoverable).
-    const std::size_t bad_lo = shape.unrecoverable ? 3 * positions.size() * kSymbol : data.size();
-    auto same_bytes = [&](const std::vector<std::uint8_t>& got) {
-      return got.size() == data.size() && std::equal(data.begin(), data.begin() + bad_lo, got.begin());
+  for (const bool padded : {false, true}) {
+    // The layout alone decides O_DIRECT: a padded store is read direct with
+    // STAIR_IO_DIRECT unset, an unpadded one buffered even with it set.
+    const ScopedEnv env("STAIR_IO_DIRECT", padded ? nullptr : "1");
+    auto expect_direct = [padded](std::uint64_t requests, const char* layer) {
+      EXPECT_EQ(requests > 0, padded) << layer << " made " << requests << " O_DIRECT opens";
     };
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(shape.name + (padded ? " (padded)" : " (unpadded)"));
+      TempDir dir(shape.name);
+      const auto data = encode_store(dir, 60, padded);
+      const StripeStore store = StripeStore::load(dir.store());
+      Codec codec(kCfg);
+      const auto positions = StripeStore::data_positions(codec.code().layout());
+      ASSERT_EQ(store.stripes, 4u);
+      ASSERT_EQ(store.block_bytes > 1, padded);
 
-    IoPipeline pipeline(codec);
-    const auto dec = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
-    EXPECT_EQ(dec.ok, !shape.unrecoverable) << dec.error;
-    EXPECT_EQ(dec.degraded_stripes, shape.degraded);
-    EXPECT_EQ(dec.failed_stripes, shape.unrecoverable ? 1u : 0u);
-    EXPECT_TRUE(same_bytes(read_all(dir.path / "out.bin")));
+      std::vector<bool> last_mask(kCfg.r * kCfg.n, false);
+      for (const auto& [stripe, d] : shape.torn) {
+        const auto [row, dev] = positions[d];
+        tear_sector(dir, store, stripe, row, dev);
+        if (stripe == 3) last_mask[row * kCfg.n + dev] = true;
+      }
+      for (std::size_t dev : shape.lost_devices)
+        ASSERT_TRUE(fs::remove(StripeStore::device_path(dir.store(), dev)));
+      ASSERT_EQ(codec.code().is_recoverable(last_mask), !shape.unrecoverable)
+          << "the shape must really sit on its side of the coverage boundary";
 
-    std::vector<std::uint8_t> ranged(data.size());
-    const auto rr = pipeline.read_range(dir.store(), 0, ranged);
-    EXPECT_EQ(rr.ok, !shape.unrecoverable) << rr.error;
-    EXPECT_EQ(rr.degraded_stripes, shape.degraded);
-    EXPECT_EQ(rr.failed_stripes, shape.unrecoverable ? 1u : 0u);
-    EXPECT_TRUE(same_bytes(ranged));
+      // Bytes outside the unrecoverable stripe (all of them when recoverable).
+      const std::size_t bad_lo =
+          shape.unrecoverable ? 3 * positions.size() * kSymbol : data.size();
+      auto same_bytes = [&](const std::vector<std::uint8_t>& got) {
+        return got.size() == data.size() &&
+               std::equal(data.begin(), data.begin() + bad_lo, got.begin());
+      };
 
-    Scrubber scrubber(codec, {.repair = false});
-    const ScrubReport rep = scrubber.scrub(dir.store());
-    EXPECT_TRUE(rep.ok) << rep.error;
-    EXPECT_EQ(rep.stripes_degraded, shape.degraded);
-    EXPECT_EQ(rep.stripes_unrecoverable, shape.unrecoverable ? 1u : 0u);
-    EXPECT_EQ(rep.bytes_written, 0u);
+      IoPipeline pipeline(codec);
+      const auto dec = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
+      EXPECT_EQ(dec.ok, !shape.unrecoverable) << dec.error;
+      EXPECT_EQ(dec.degraded_stripes, shape.degraded);
+      EXPECT_EQ(dec.failed_stripes, shape.unrecoverable ? 1u : 0u);
+      EXPECT_TRUE(same_bytes(read_all(dir.path / "out.bin")));
+      const std::uint64_t decode_direct = direct_requests(pipeline.engine());
+      expect_direct(decode_direct, "decode_file");
 
-    StorageNode node(codec, dir.store(), {.tenants = 1, .workers = 1});
-    node.start();
-    std::vector<std::uint8_t> served(data.size());
-    Request req;
-    req.type = RequestType::kScan;
-    req.out = served;
-    const Response resp = node.submit(req).wait();
-    node.stop();
-    EXPECT_EQ(resp.ok, !shape.unrecoverable) << resp.error;
-    EXPECT_EQ(resp.degraded_stripes, shape.degraded);
-    EXPECT_TRUE(same_bytes(served));
+      std::vector<std::uint8_t> ranged(data.size());
+      const auto rr = pipeline.read_range(dir.store(), 0, ranged);
+      EXPECT_EQ(rr.ok, !shape.unrecoverable) << rr.error;
+      EXPECT_EQ(rr.degraded_stripes, shape.degraded);
+      EXPECT_EQ(rr.failed_stripes, shape.unrecoverable ? 1u : 0u);
+      EXPECT_TRUE(same_bytes(ranged));
+      expect_direct(direct_requests(pipeline.engine()) - decode_direct, "read_range");
+
+      Scrubber scrubber(codec, {.repair = false});
+      const ScrubReport rep = scrubber.scrub(dir.store());
+      EXPECT_TRUE(rep.ok) << rep.error;
+      EXPECT_EQ(rep.stripes_degraded, shape.degraded);
+      EXPECT_EQ(rep.stripes_unrecoverable, shape.unrecoverable ? 1u : 0u);
+      EXPECT_EQ(rep.bytes_written, 0u);
+      expect_direct(direct_requests(scrubber.engine()), "scrub");
+
+      StorageNode node(codec, dir.store(), {.tenants = 1, .workers = 1});
+      node.start();
+      std::vector<std::uint8_t> served(data.size());
+      Request req;
+      req.type = RequestType::kScan;
+      req.out = served;
+      const std::uint64_t node_direct = direct_requests(node.engine());
+      const Response resp = node.submit(req).wait();
+      expect_direct(direct_requests(node.engine()) - node_direct, "node read");
+      node.stop();
+      EXPECT_EQ(resp.ok, !shape.unrecoverable) << resp.error;
+      EXPECT_EQ(resp.degraded_stripes, shape.degraded);
+      EXPECT_TRUE(same_bytes(served));
+    }
   }
 }
 
