@@ -132,11 +132,14 @@ StepResult run_step(Codec& codec, const std::string& store, const std::string& m
   StorageNode node(codec, store, opt);
   node.start();
 
+  // The rebuild runs over the node's own open store — the same borrowed-store
+  // pass the node's scrubber runs — so it shares the node's live checksums
+  // and stripe locks instead of owning the directory a second time.
   std::thread rebuild_thread;
-  Scrubber rebuilder(codec, {.stripes_in_flight = 2});
+  Scrubber rebuilder(codec, {.stripes_in_flight = 2, .engine = &node.engine()});
   if (mode == "rebuild") {
     rebuild_thread = std::thread([&] {
-      const ScrubReport rep = rebuilder.rebuild_device(store, victim);
+      const ScrubReport rep = rebuilder.rebuild_device(node.open_store(), victim);
       if (!rep.ok)
         std::fprintf(stderr, "concurrent rebuild reported: %s\n", rep.error.c_str());
     });

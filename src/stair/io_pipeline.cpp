@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
 
 #include "util/thread_pool.h"
 
@@ -14,11 +13,7 @@ IoPipeline::IoPipeline(Codec& codec) : IoPipeline(codec, Options{}) {}
 IoPipeline::IoPipeline(Codec& codec, Options options)
     : codec_(codec),
       options_(options),
-      engine_(io::engine_or_create(options_.engine, owned_engine_)),
-      staging_(*engine_, true),
-      reader_(codec_, *engine_, staging_),
-      writer_(staging_),
-      positions_(StripeStore::data_positions(codec.code().layout())) {
+      engine_(io::engine_or_create(options_.engine, owned_engine_)) {
   if (options_.queue_depth == 0) options_.queue_depth = 1;
 }
 
@@ -30,22 +25,35 @@ std::string errno_text(int err) {
 
 }  // namespace
 
+std::unique_ptr<OpenStore> IoPipeline::open(const std::string& store_dir, std::size_t depth,
+                                            Stats& st, const StripeStore* loaded) {
+  try {
+    if (loaded)
+      return std::make_unique<OpenStore>(codec_, *engine_, store_dir, *loaded,
+                                         OpenStore::Access::kRead, depth);
+    return std::make_unique<OpenStore>(codec_, *engine_, store_dir, OpenStore::Access::kRead,
+                                       depth);
+  } catch (const ManifestError& e) {
+    st.manifest_errors = 1;
+    st.error = e.what();
+  } catch (const std::exception& e) {
+    st.error = e.what();
+  }
+  return nullptr;
+}
+
 IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
                                           const std::string& store_dir) {
   Stats st;
   const StairCode& code = codec_.code();
   const StairConfig& cfg = code.config();
-
-  std::error_code ec;
-  std::filesystem::create_directories(store_dir, ec);
-
   const int in_fd = engine_->open_read(input_path);
   if (in_fd < 0) {
     st.error = "cannot open input " + input_path;
     return st;
   }
   const std::uint64_t file_size = engine_->file_size(in_fd);
-  const std::size_t stripe_data = positions_.size() * options_.symbol_bytes;
+  const std::size_t stripe_data = code.data_symbol_count() * options_.symbol_bytes;
   const std::size_t stripes =
       file_size ? static_cast<std::size_t>((file_size + stripe_data - 1) / stripe_data) : 0;
 
@@ -54,41 +62,35 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   // goes in the manifest. The layout is chosen by the *request*, never by
   // whether O_DIRECT actually engaged, so a store encoded on tmpfs (where
   // direct falls back to buffered) is byte-identical to one from a real fs.
-  StripeStore store;
-  store.cfg = cfg;
-  store.symbol_bytes = options_.symbol_bytes;
-  store.block_bytes = options_.direct ? StripeStore::kDirectBlockBytes : 1;
-  store.file_size = static_cast<std::size_t>(file_size);
-  store.stripes = stripes;
-  store.sector_checksums.assign(stripes * cfg.n * cfg.r, 0);
-  std::vector<std::uint64_t> stripe_hashes(stripes, 0);  // disjoint per-stripe writes
-  staging_.reserve(store, options_.queue_depth * cfg.n);
-
-  StripeRing ring(slots_, options_.queue_depth);
-  std::vector<int> dev_fds(cfg.n, -1);
-  for (std::size_t j = 0; j < cfg.n; ++j) {
-    dev_fds[j] = engine_->open_write(StripeStore::device_path(store_dir, j), store.open_mode());
-    if (dev_fds[j] < 0) ring.fail("cannot create " + StripeStore::device_path(store_dir, j));
+  StripeStore layout;
+  layout.cfg = cfg;
+  layout.symbol_bytes = options_.symbol_bytes;
+  layout.block_bytes = options_.direct ? StripeStore::kDirectBlockBytes : 1;
+  layout.file_size = static_cast<std::size_t>(file_size);
+  layout.stripes = stripes;
+  layout.sector_checksums.assign(stripes * cfg.n * cfg.r, 0);
+  std::unique_ptr<OpenStore> store;
+  try {
+    store = std::make_unique<OpenStore>(codec_, *engine_, store_dir, std::move(layout),
+                                        OpenStore::Access::kCreate, options_.queue_depth);
+  } catch (const std::exception& e) {
+    engine_->close(in_fd);
+    st.error = e.what();
+    return st;
   }
-  // Long-lived chunk fds: register so uring submissions skip the per-IO fd
-  // lookup/refcount (IOSQE_FIXED_FILE). Optional like everything else here.
-  const bool files_registered = !ring.failed() && engine_->register_files(dev_fds) == 0;
 
+  StripeRing ring(store->slots(), options_.queue_depth);
   // Once stripe s is encoded: the writer lays down its n chunks and
-  // fingerprints every sector straight into the manifest (rows are disjoint
-  // per stripe); the stripe's data hash folds those fingerprints — no second
-  // pass over the bytes. Nothing here may touch the run once the writer
-  // holds the last lease: the ring can drain as soon as the writes retire.
+  // fingerprints every sector before write() returns, and the store folds
+  // the stripe's data hash from them — no second pass over the bytes. `slot`
+  // is held until then: the ring drains as soon as the last lease goes.
   auto write_stripe = [&](StripeRing::Lease slot, std::size_t s) {
-    const StripeView& view = slot->buf->view();
-    writer_.write(ring, std::move(slot), store, view, dev_fds, s,
-                  std::span(store.sector_checksums).subspan(s * cfg.n * cfg.r, cfg.n * cfg.r),
-                  [&, s](int err) {
-                    if (err)
-                      ring.fail("device write failed: " + errno_text(err));
-                    else
-                      stripe_hashes[s] = store.stripe_data_hash(s, positions_);
-                  });
+    std::vector<std::uint64_t> checksums(cfg.n * cfg.r);
+    store->writer().write(ring, slot, slot->buf->view(), store->fds(), s, checksums,
+                          [&ring](int err) {
+                            if (err) ring.fail("device write failed: " + errno_text(err));
+                          });
+    store->set_stripe(s, checksums);
   };
   auto encode_stripe = [&](StripeRing::Lease slot, std::size_t s) {
     try {
@@ -107,8 +109,7 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   };
   for (std::size_t s = 0; s < stripes && !ring.failed(); ++s) {
     StripeRing::Lease slot = ring.acquire();
-    if (!slot->buf || slot->buf->symbol_size() != store.symbol_bytes)
-      slot->buf.emplace(code, store.symbol_bytes);
+    if (!slot->buf) slot->buf.emplace(code, options_.symbol_bytes);
     slot->data.resize(stripe_data);
     const std::size_t offset = s * stripe_data;
     const std::size_t len =
@@ -131,67 +132,42 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
                     });
                   });
   }
-  ring.drain();
-  engine_->flush();
-  if (files_registered) engine_->unregister_files();
+  ring.drain();  // every transfer holds a lease: no IO is left in flight
   engine_->close(in_fd);
-  for (int fd : dev_fds) engine_->close(fd);
 
   ring.tally(st);
   st.stripes = stripes;
   if (st.error.empty()) {
-    store.data_checksum = combine_hashes(stripe_hashes);
     try {
-      store.save(store_dir);
+      store->save();
       st.ok = true;
     } catch (const std::exception& e) {
       st.error = e.what();
     }
   }
+  slots_created_ = std::max(slots_created_, store->slots().created());
   return st;
 }
 
 IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
                                           const std::string& output_path) {
   Stats st;
-  StripeStore store;
-  try {
-    store = StripeStore::load(store_dir);
-  } catch (const std::exception& e) {
-    // A bad manifest is a counted, clean failure — the store's recovery
-    // point is gone, which callers distinguish from a recoverable stripe.
-    st.manifest_errors = 1;
-    st.error = e.what();
-    return st;
-  }
-  st.error = store.config_mismatch(codec_.code().config());
-  if (!st.error.empty()) return st;
+  const std::unique_ptr<OpenStore> open_store = open(store_dir, options_.queue_depth, st);
+  if (!open_store) return st;
+  const StripeStore& store = open_store->store();
+  const std::span<const StripeStore::Position> positions = open_store->positions();
   const StairConfig& cfg = store.cfg;
   const std::size_t symbol = store.symbol_bytes;
-  const std::size_t stripe_data = positions_.size() * symbol;
+  const std::size_t stripe_data = positions.size() * symbol;
   std::vector<std::uint64_t> stripe_hashes(store.stripes, 0);
-  staging_.reserve(store, options_.queue_depth * cfg.n);
-
-  std::vector<int> dev_fds(cfg.n, -1);
-  bool all_devs_open = true;
-  for (std::size_t j = 0; j < cfg.n; ++j) {
-    dev_fds[j] = engine_->open_read(StripeStore::device_path(store_dir, j), store.open_mode());
-    all_devs_open = all_devs_open && dev_fds[j] >= 0;
-  }
-  // Fixed files only when every device opened: sparse registrations (-1
-  // entries) predate some kernels this runs on, and a degraded decode is
-  // not the case to optimize anyway.
-  const bool files_registered = all_devs_open && engine_->register_files(dev_fds) == 0;
 
   const int out_fd = engine_->open_write(output_path);
   if (out_fd < 0) {
-    if (files_registered) engine_->unregister_files();
-    for (int fd : dev_fds) engine_->close(fd);
     st.error = "cannot create output " + output_path;
     return st;
   }
 
-  StripeRing ring(slots_, options_.queue_depth);
+  StripeRing ring(open_store->slots(), options_.queue_depth);
   auto write_data = [&](StripeRing::Lease slot, std::size_t s) {
     if (!slot->recovered) return;  // outside coverage: counted by the reader
     const StripeView& view = slot->view;
@@ -199,14 +175,14 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
     // the manifest value (verification just recomputed it), reconstructed
     // sectors are hashed fresh — the end-to-end check covers decode output.
     stripe_hashes[s] = StripeStore::fold_stripe_hash(
-        positions_, [&](std::size_t row, std::size_t dev) {
+        positions, [&](std::size_t row, std::size_t dev) {
           return slot->mask[row * cfg.n + dev]
                      ? content_hash64(view.stored[row * cfg.n + dev])
                      : store.sector_checksum(s, dev, row);
         });
     slot->data.resize(stripe_data);
-    for (std::size_t d = 0; d < positions_.size(); ++d) {
-      const auto [row, dev] = positions_[d];
+    for (std::size_t d = 0; d < positions.size(); ++d) {
+      const auto [row, dev] = positions[d];
       std::memcpy(slot->data.data() + d * symbol, view.stored[row * cfg.n + dev].data(), symbol);
     }
     const std::size_t len = std::min(stripe_data, store.file_size - s * stripe_data);
@@ -219,16 +195,14 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
                    });
   };
   for (std::size_t s = 0; s < store.stripes && !ring.failed(); ++s)
-    reader_.read(ring, ring.acquire(), store, dev_fds, s, {},
-                 [&write_data, s](StripeRing::Lease slot) { write_data(std::move(slot), s); });
+    open_store->reader().read(
+        ring, ring.acquire(), s, {},
+        [&write_data, s](StripeRing::Lease slot) { write_data(std::move(slot), s); });
   ring.drain();
-  engine_->flush();
-  if (files_registered) engine_->unregister_files();
   // Failed trailing stripes must not shorten the file silently; recoverable
   // content has been written at its exact offsets either way.
   if (engine_->truncate(out_fd, store.file_size) != 0) ring.fail("truncate on output failed");
   engine_->close(out_fd);
-  for (int fd : dev_fds) engine_->close(fd);
 
   ring.tally(st);
   st.stripes = store.stripes;
@@ -241,28 +215,26 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
       st.ok = true;
     }
   }
+  slots_created_ = std::max(slots_created_, open_store->slots().created());
   return st;
 }
 
 IoPipeline::Stats IoPipeline::read_range(const std::string& store_dir, std::uint64_t offset,
                                          std::span<std::uint8_t> out) {
   Stats st;
-  StripeStore store;
-  try {
-    store = StripeStore::load(store_dir);
-  } catch (const std::exception& e) {
-    st.manifest_errors = 1;
-    st.error = e.what();
-    return st;
-  }
-  return read_range(store, store_dir, offset, out);
+  // A ranged read's store lives for one call: it stages on demand.
+  const std::unique_ptr<OpenStore> store = open(store_dir, 0, st);
+  if (!store) return st;
+  return store->reader().read_range(offset, out);
 }
 
 IoPipeline::Stats IoPipeline::read_range(const StripeStore& store,
                                          const std::string& store_dir, std::uint64_t offset,
                                          std::span<std::uint8_t> out) {
-  staging_.reserve(store, options_.queue_depth * store.cfg.n);
-  return reader_.read_range(store, store_dir, offset, out);
+  Stats st;
+  const std::unique_ptr<OpenStore> open_store = open(store_dir, 0, st, &store);
+  if (!open_store) return st;
+  return open_store->reader().read_range(offset, out);
 }
 
 }  // namespace stair

@@ -12,14 +12,8 @@
 //              ──▶ write(output chunk k)
 //
 // Both directions are thin clients of the one stripe engine
-// (stair/stripe_engine.h): decode, ranged reads, scrub and the storage node
-// read stripes the same way, and encode, repair and node writes write them
-// the same way. Checksums are what make degraded reads honest: a chunk that
-// is missing, short, unreadable (EIO), or torn (checksum mismatch) is erased
-// for exactly the sectors it cannot vouch for, the mask resolves through the
-// session's DecodePlanCache (every stripe of a failure epoch shares one
-// inversion+compile), and patterns outside the code's coverage fail that
-// stripe and are counted — never thrown mid-pipeline.
+// (stair/stripe_engine.h), which decides what a damaged chunk erases and
+// counts — never throws — patterns outside the code's coverage.
 //
 // Depth: `queue_depth` stripes are in flight at once, each leasing a slot
 // from a WorkspacePool that settles at the depth high-water mark. IO
@@ -31,6 +25,11 @@
 // layout's call (StripeStore::open_mode); Options::direct only picks the
 // layout encode_file writes.
 //
+// Each call opens its store (stair/open_store.h) and closes it on return,
+// so a pipeline on a borrowed engine is built without allocating or
+// opening anything. A call coordinates with no one: it must not run on a
+// directory a StorageNode serves.
+//
 // A pipeline is bound to one Codec (whose code defines the stripe geometry)
 // and runs one file operation at a time; distinct pipelines on distinct
 // codecs may run concurrently.
@@ -40,13 +39,11 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "stair/codec.h"
-#include "stair/stripe_engine.h"
+#include "stair/open_store.h"
 #include "stair/stripe_store.h"
 #include "util/stripe_io.h"
-#include "util/workspace_pool.h"
 
 namespace stair {
 
@@ -100,7 +97,8 @@ class IoPipeline {
   /// mid-rebuild — sends that stripe through the stripe reader and the
   /// session plan cache. This is how client reads keep being served
   /// *during* a device rebuild. Stats.ok is false when the range exceeds the
-  /// file or a needed stripe is unrecoverable.
+  /// file or a needed stripe is unrecoverable. `store` is the caller's
+  /// already-loaded manifest of `store_dir` (copied into the call's store).
   Stats read_range(const StripeStore& store, const std::string& store_dir,
                    std::uint64_t offset, std::span<std::uint8_t> out);
   /// read_range loading the manifest itself (convenience; per-call load).
@@ -108,26 +106,21 @@ class IoPipeline {
                    std::span<std::uint8_t> out);
 
   io::Engine& engine() { return *engine_; }
-  Codec& codec() { return codec_; }
-  /// Slot-pool high-water mark (== stripes concurrently in flight, settles
-  /// at queue_depth).
-  std::size_t slots_created() const { return slots_.created(); }
-  /// True while the staging pool is registered with the engine (fixed-path
-  /// transfers engaged). The pipeline always asks; engines without
-  /// registration (the thread backend) refuse, and transfers stay plain on
-  /// the same aligned buffers.
-  bool fixed_buffers_active() const { return staging_.registered(); }
+  /// Slot-pool high-water mark of the busiest encode or decode so far
+  /// (== stripes concurrently in flight, settles at queue_depth).
+  std::size_t slots_created() const { return slots_created_; }
 
  private:
+  /// Opens `store_dir` read-only for one call (`loaded`: the caller's copy
+  /// of its manifest); nullptr with `st` filled when that fails.
+  std::unique_ptr<OpenStore> open(const std::string& store_dir, std::size_t depth, Stats& st,
+                                  const StripeStore* loaded = nullptr);
+
   Codec& codec_;
   Options options_;
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_;
-  WorkspacePool<StripeSlot> slots_;
-  ChunkStaging staging_;  // registered when the engine accepts
-  StripeReader reader_;
-  StripeWriter writer_;
-  const std::vector<StripeStore::Position> positions_;
+  std::size_t slots_created_ = 0;
 };
 
 }  // namespace stair

@@ -1,8 +1,6 @@
 #include "stair/scrub_repair.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -62,16 +60,9 @@ void ScrubReport::accumulate(const ScrubReport& p) {
 /// Per-pass state; lives on the run_pass stack. The ring is declared last,
 /// so it drains before the state its callbacks use goes away.
 struct Scrubber::Pass {
-  Pass(const StripeStore& s, const std::string& d, std::optional<std::size_t> r,
-       WorkspacePool<StripeSlot>& slots, std::size_t depth)
-      : store(s), dir(d), rebuild(r), ring(slots, depth) {}
+  Pass(OpenStore& s, std::size_t depth) : store(s), ring(s.slots(), depth) {}
 
-  const StripeStore& store;
-  const std::string& dir;
-  std::optional<std::size_t> rebuild;  // device being rebuilt, if any
-  std::vector<int> read_fds;           // -1: missing/skip (rebuild target)
-  std::vector<int> write_fds;          // -2: not opened yet; guarded by fd_mu
-  std::mutex fd_mu;
+  OpenStore& store;
   std::atomic<std::size_t> repaired{0}, repair_failed{0};
   StripeRing ring;
 };
@@ -80,9 +71,6 @@ Scrubber::Scrubber(Codec& codec, ScrubOptions options)
     : codec_(codec),
       options_(std::move(options)),
       engine_(io::engine_or_create(options_.engine, owned_engine_)),
-      staging_(*engine_, false),
-      reader_(codec_, *engine_, staging_),
-      writer_(staging_),
       bucket_(options_.rate_mbps, options_.burst_bytes) {
   if (options_.stripes_in_flight == 0) options_.stripes_in_flight = 1;
   background_report_.ok = background_report_.completed = true;
@@ -98,16 +86,20 @@ ScrubReport Scrubber::rebuild_device(const std::string& store_dir, std::size_t d
   return run_pass(store_dir, device);
 }
 
-bool Scrubber::pace(std::size_t bytes) {
+ScrubReport Scrubber::rebuild_device(OpenStore& store, std::size_t device) {
+  return run_pass(store, device);
+}
+
+bool Scrubber::pace(std::size_t bytes, const StripeReader& reader) {
   using clock = std::chrono::steady_clock;
   bool stalled = false;
-  // Idle-slot gate: foreground pressure is Codec jobs beyond this
-  // Scrubber's own in-flight decodes. Bounded: a node that is never idle
-  // still gets scrubbed, just never at full tilt.
+  // Idle-slot gate: foreground pressure is Codec jobs beyond the store
+  // reader's in-flight decodes. Bounded: a node that is never idle still
+  // gets scrubbed, just never at full tilt.
   auto gated = [&] {
     if (options_.hold) return options_.hold();
     if (!options_.yield_to_foreground) return false;
-    return codec_.jobs_in_flight() > reader_.decodes_in_flight();
+    return codec_.jobs_in_flight() > reader.decodes_in_flight();
   };
   const auto gate_deadline = clock::now() + options_.max_stall;
   while (!stop_.load(std::memory_order_relaxed) && gated() && clock::now() < gate_deadline) {
@@ -125,67 +117,64 @@ bool Scrubber::pace(std::size_t bytes) {
 
 ScrubReport Scrubber::run_pass(const std::string& store_dir,
                                std::optional<std::size_t> rebuild) {
-  ScrubReport rep;
-  StripeStore store;
+  std::unique_ptr<OpenStore> store;
   try {
-    store = StripeStore::load(store_dir);
+    // A detect-only pass opens read-only: it cannot write even by mistake.
+    const auto access = rebuild || options_.repair ? OpenStore::Access::kUpdate
+                                                   : OpenStore::Access::kRead;
+    store = std::make_unique<OpenStore>(codec_, *engine_, store_dir, access,
+                                        options_.stripes_in_flight);
   } catch (const std::exception& e) {
+    ScrubReport rep;
     rep.error = e.what();
     return rep;
   }
-  rep.error = store.config_mismatch(codec_.code().config());
-  if (!rep.error.empty()) return rep;
+  return run_pass(*store, rebuild);
+}
+
+ScrubReport Scrubber::run_pass(OpenStore& open, std::optional<std::size_t> rebuild) {
+  ScrubReport rep;
+  const StripeStore& store = open.store();
   if (rebuild && *rebuild >= store.cfg.n) {
     rep.error = "rebuild device out of range";
     return rep;
   }
 
-  // One pass runs at a time per Scrubber, so re-sizing the staging at pass
-  // start is safe (outstanding leases pin the old backing store).
-  staging_.reserve(store, options_.stripes_in_flight * store.cfg.n);
-  Pass pass(store, store_dir, rebuild, slots_, options_.stripes_in_flight);
-  // Chunk reads and the rebuild target take whole aligned transfers only,
-  // so they open in the layout's mode; sector-patch fds stay buffered.
-  const io::OpenMode mode = store.open_mode();
-  pass.read_fds.assign(store.cfg.n, -1);
-  pass.write_fds.assign(store.cfg.n, -2);
-  for (std::size_t j = 0; j < store.cfg.n; ++j) {
-    if (rebuild && *rebuild == j) continue;  // target column is re-derived
-    pass.read_fds[j] = engine_->open_read(StripeStore::device_path(store_dir, j), mode);
-  }
+  Pass pass(open, options_.stripes_in_flight);
   if (rebuild) {
-    // The target file is recreated from scratch (truncate): every chunk is
-    // about to be reconstructed and written back in stripe order.
-    pass.write_fds[*rebuild] =
-        engine_->open_write(StripeStore::device_path(store_dir, *rebuild), mode);
-    if (pass.write_fds[*rebuild] < 0)
-      pass.ring.fail("cannot recreate " + StripeStore::device_path(store_dir, *rebuild));
+    // The target starts empty: every chunk is about to be reconstructed and
+    // written back in stripe order. An already empty file is left alone
+    // (ext4 flushes a file truncated to zero when it is closed).
+    const int fd = open.fds()[*rebuild];
+    if (fd < 0 || (open.engine().file_size(fd) > 0 && open.engine().truncate(fd, 0) != 0))
+      pass.ring.fail("cannot truncate device " + std::to_string(*rebuild) + " for rebuild");
   }
 
   const StripeReader::Plan plan{.erase = rebuild, .decode = rebuild || options_.repair};
   std::size_t scanned = 0, stalls = 0;
   for (std::size_t s = 0; s < store.stripes; ++s) {
     if (stop_.load(std::memory_order_relaxed) || pass.ring.failed()) break;
-    if (pace(store.cfg.n * store.padded_chunk_bytes())) ++stalls;
+    if (pace(store.cfg.n * store.padded_chunk_bytes(), open.reader())) ++stalls;
     if (stop_.load(std::memory_order_relaxed)) break;
-    StripeRing::Lease slot = pass.ring.acquire();
+    // Shared-locked here, on the walk thread, until the stripe leaves the
+    // ring: its reads, verify, decode and repair all see one version.
+    StripeRing::Lease slot = open.hold_shared(pass.ring.acquire(), s);
     ++scanned;
     io::PhaseScope phase(rebuild ? io::IoPhase::kRebuild : io::IoPhase::kScrub);
-    reader_.read(pass.ring, std::move(slot), store, pass.read_fds, s, plan,
-                 [this, &pass, s](StripeRing::Lease slot) {
-                   // Clean stripes, detect-only passes and damage outside
-                   // coverage (counted by the reader) write nothing.
-                   if (slot->recovered && (slot->damaged || pass.rebuild))
-                     repair_stripe(pass, std::move(slot), s);
-                 });
+    open.reader().read(pass.ring, std::move(slot), s, plan,
+                       [this, &pass, s, rebuild](StripeRing::Lease slot) {
+                         // Clean stripes, detect-only passes and damage
+                         // outside coverage (counted by the reader) write
+                         // nothing.
+                         if (slot->recovered && (slot->damaged || rebuild))
+                           repair_stripe(pass, std::move(slot), s);
+                       });
   }
   // No engine flush: every transfer this pass submitted has retired through
   // its slot lease, and flushing would also wait out unrelated foreground IO
   // on a shared engine.
   pass.ring.drain();
-  for (int fd : pass.read_fds) engine_->close(fd);
-  for (int fd : pass.write_fds)
-    if (fd >= 0) engine_->close(fd);
+  slots_created_.store(open.slots().created(), std::memory_order_relaxed);
 
   rep.stripes = store.stripes;
   rep.stripes_scanned = scanned;
@@ -199,23 +188,14 @@ ScrubReport Scrubber::run_pass(const std::string& store_dir,
   rep.bytes_read = pass.ring.bytes_read.load();
   rep.bytes_written = pass.ring.bytes_written.load();
   rep.error = pass.ring.error();
-  if (rep.error.empty() && rep.sectors_repaired > 0) {
-    // Repair rewrote store content to its manifest-proven state; re-saving
-    // refreshes the recovery point canonically (atomic temp + rename).
-    try {
-      store.save(store_dir);
-    } catch (const std::exception& e) {
-      rep.error = e.what();
-    }
-  }
   rep.ok = rep.error.empty();
   rep.completed = rep.ok && rep.stripes_scanned == rep.stripes;
   return rep;
 }
 
 void Scrubber::repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t stripe) {
-  const StripeStore& store = pass.store;
-  const std::size_t n = store.cfg.n, r = store.cfg.r, symbol = store.symbol_bytes;
+  const StripeStore& store = pass.store.store();
+  const std::size_t n = store.cfg.n, r = store.cfg.r;
   const StripeView& view = slot->view;
   const std::vector<bool>& mask = slot->mask;
   // Re-verify before rewrite: every reconstructed sector must match its
@@ -229,61 +209,47 @@ void Scrubber::repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t str
         return;
       }
 
-  // The write set per device: a fully-erased column is rewritten as one
-  // padded chunk through the writer, scattered sector hits are patched in
-  // place straight from the reconstruction. Every write holds the lease, so
-  // the stripe leaves the ring once the last one retires.
+  // Every device with an erased sector gets its whole padded chunk
+  // rewritten through the writer, on the store's own fds. The writes hold
+  // the lease, so the stripe leaves the ring once the last one retires.
   io::PhaseScope phase(io::IoPhase::kRepair);
-  std::vector<int> whole(n, -1);
-  std::size_t whole_sectors = 0;
+  std::vector<int> fds(n, -1);
+  std::size_t sectors = 0;
   for (std::size_t j = 0; j < n; ++j) {
     std::size_t masked = 0;
     for (std::size_t i = 0; i < r; ++i) masked += mask[i * n + j];
     if (masked == 0) continue;
-    int fd;
-    {
-      std::lock_guard<std::mutex> lock(pass.fd_mu);
-      if (pass.write_fds[j] == -2)
-        pass.write_fds[j] = engine_->open_update(StripeStore::device_path(pass.dir, j));
-      fd = pass.write_fds[j];
-    }
-    if (fd < 0) {
+    fds[j] = pass.store.fds()[j];
+    if (fds[j] < 0)
       pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (masked == r) {
-      whole[j] = fd;
-      whole_sectors += r;
-      continue;
-    }
-    for (std::size_t i = 0; i < r; ++i) {
-      if (!mask[i * n + j]) continue;
-      engine_->write(fd, store.chunk_offset(stripe) + i * symbol, view.stored[i * n + j],
-                     [&pass, slot, symbol](const io::Result& res) {
-                       pass.ring.bytes_written.fetch_add(res.bytes, std::memory_order_relaxed);
-                       if (!res.ok() || res.bytes < symbol)
-                         pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
-                       else
-                         pass.repaired.fetch_add(1, std::memory_order_relaxed);
-                     });
-    }
+    else
+      sectors += masked;
   }
-  if (whole_sectors > 0)
-    writer_.write(pass.ring, slot, store, view, whole, stripe, {},
-                  [&pass, whole_sectors](int err) {
-                    if (err)
-                      pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
-                    else
-                      pass.repaired.fetch_add(whole_sectors, std::memory_order_relaxed);
-                  });
+  if (sectors > 0)
+    pass.store.writer().write(pass.ring, std::move(slot), view, fds, stripe, {},
+                              [&pass, sectors](int err) {
+                                if (err)
+                                  pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
+                                else
+                                  pass.repaired.fetch_add(sectors, std::memory_order_relaxed);
+                              });
 }
 
 void Scrubber::start(const std::string& store_dir, std::chrono::milliseconds pass_gap) {
+  start_loop([this, store_dir] { return run_pass(store_dir, std::nullopt); }, pass_gap);
+}
+
+void Scrubber::start(OpenStore& store, std::chrono::milliseconds pass_gap) {
+  start_loop([this, &store] { return run_pass(store, std::nullopt); }, pass_gap);
+}
+
+void Scrubber::start_loop(std::function<ScrubReport()> pass,
+                          std::chrono::milliseconds pass_gap) {
   if (loop_.joinable()) return;
   stop_.store(false);
-  loop_ = std::thread([this, store_dir, pass_gap] {
+  loop_ = std::thread([this, pass = std::move(pass), pass_gap] {
     while (!stop_.load()) {
-      ScrubReport rep = run_pass(store_dir, std::nullopt);
+      ScrubReport rep = pass();
       {
         std::lock_guard<std::mutex> lock(report_mu_);
         background_report_.accumulate(rep);

@@ -10,9 +10,9 @@
 //              ├─ clean: retire
 //              └─ hit:  decode via the session DecodePlanCache
 //                         ─▶ re-verify reconstruction against the manifest
-//                         ─▶ write ONLY the damaged sectors back in place
+//                         ─▶ rewrite the damaged devices' chunks in place
 //   rebuild: the same walk with one device's column pre-erased and its file
-//            recreated — a bounded-concurrency stream of degraded reads +
+//            truncated — a bounded-concurrency stream of degraded reads +
 //            whole-chunk writes through the StripeWriter, paced like scrub.
 //
 // Pacing, because scrub is a guest on a serving node: a token bucket on
@@ -23,19 +23,24 @@
 // IoPipeline's queue_depth. sim::pass_rate_mbps converts a ScrubPolicy
 // period into the rate knob.
 //
-// IO follows the store layout: on a padded store (block > 1) chunk reads and
-// the rebuild target's whole-chunk writes go through O_DIRECT fds with
-// aligned leased staging, while sector-granular repair patches stay
-// buffered — they are sub-block by nature.
+// Every pass runs over one OpenStore (stair/open_store.h): its fds, its
+// stripe engine, its live checksums. The walk thread takes each stripe's
+// shared lock before the stripe's reads and holds it until the stripe
+// leaves the ring, so a pass never sees a write half done; it never blocks
+// on a lock inside an IO or codec-pool callback, whose threads may hold
+// stripe locks themselves.
 //
-// Repair is write-minimal and checked: every reconstructed sector is
-// verified against its manifest checksum *before* any write is issued (a
-// repair must never write bytes it cannot prove), scattered sectors are
-// patched in place through Engine::open_update (no truncation — healthy
-// sectors are untouched), and a fully-erased column is rewritten as one
-// padded chunk by the StripeWriter. After a pass that repaired anything the
-// manifest is re-saved (atomic temp + rename), refreshing the store's
-// recovery point.
+// Repair is checked: every reconstructed sector must match its manifest
+// checksum *before* any write is issued. Each device with a damaged sector
+// then has its whole padded chunk rewritten by the StripeWriter (verified
+// sectors in place, reconstructed ones filled in) in one aligned transfer.
+// A repair writes bytes the manifest already describes, so a pass never
+// saves the manifest.
+//
+// scrub(dir), rebuild_device(dir) and start(dir) open a store per pass
+// (read-only for a detect-only scrub). Such a pass coordinates with no one,
+// so it must not run on a directory a StorageNode serves: a pass over a
+// served store borrows the node's (start(store), rebuild_device(store, ...)).
 //
 // Submissions are phase-tagged (io::PhaseScope): scrub reads carry kScrub,
 // rebuild reads kRebuild, repair writes kRepair — which is what lets the
@@ -43,8 +48,7 @@
 // foreground traffic on the same files stays healthy, and what a future
 // admission layer can prioritize on.
 //
-// A Scrubber shares the Codec (and optionally the Engine) with foreground
-// readers; start()/stop() run passes on a background thread for continuous
+// start()/stop() run passes on a background thread for continuous
 // scrubbing. One pass at a time per Scrubber.
 #pragma once
 
@@ -60,9 +64,8 @@
 #include <thread>
 
 #include "stair/codec.h"
-#include "stair/stripe_engine.h"
+#include "stair/open_store.h"
 #include "util/stripe_io.h"
-#include "util/workspace_pool.h"
 
 namespace stair {
 
@@ -121,9 +124,10 @@ struct ScrubOptions {
   SharedBandwidth* shared_bandwidth = nullptr;
   /// When false, scrub only detects and counts — no repair writes.
   bool repair = true;
-  /// IO engine (borrowed — share the pipeline's to test phase-scoped fault
-  /// plans); nullptr: the Scrubber creates and owns one through
-  /// io::Engine::create(), which reads STAIR_IO_BACKEND and STAIR_IO_SQPOLL.
+  /// IO engine for the stores a pass opens itself (borrowed — share the
+  /// pipeline's to test phase-scoped fault plans); nullptr: the Scrubber
+  /// creates and owns one through io::Engine::create(), which reads
+  /// STAIR_IO_BACKEND and STAIR_IO_SQPOLL.
   io::Engine* engine = nullptr;
 };
 
@@ -163,15 +167,22 @@ class Scrubber {
   /// drains (internally async: stripes_in_flight stripes overlap).
   ScrubReport scrub(const std::string& store_dir);
 
-  /// Whole-device rebuild: device `device`'s file is recreated and every
+  /// Whole-device rebuild: device `device`'s file is truncated and every
   /// stripe's column reconstructed through the plan cache as a bounded
   /// stream (stripes_in_flight degraded reads + re-encodes in flight).
   /// Damaged sectors found on surviving devices are repaired on the way.
   ScrubReport rebuild_device(const std::string& store_dir, std::size_t device);
+  /// The same rebuild over a store someone else holds open — a
+  /// StorageNode's (StorageNode::open_store()), while it serves.
+  ScrubReport rebuild_device(OpenStore& store, std::size_t device);
 
   /// Starts a background thread running scrub passes over `store_dir`
   /// every `pass_gap` (gap measured end-to-start). No-op if running.
   void start(const std::string& store_dir,
+             std::chrono::milliseconds pass_gap = std::chrono::milliseconds(0));
+  /// The background loop over a borrowed store (the node's own scrubber).
+  /// `store` must outlive stop().
+  void start(OpenStore& store,
              std::chrono::milliseconds pass_gap = std::chrono::milliseconds(0));
   /// Stops the background loop (current pass winds down at the next stripe
   /// boundary) and returns the aggregate of every pass it ran.
@@ -184,35 +195,31 @@ class Scrubber {
   ScrubReport background_report() const;
 
   io::Engine& engine() { return *engine_; }
-  Codec& codec() { return codec_; }
-  /// Slot-pool high-water mark — proves the ring never exceeded
-  /// stripes_in_flight (the rebuild concurrency bound).
-  std::size_t slots_created() const { return slots_.created(); }
+  /// Slot-pool high-water mark of the last pass's store — for a store of
+  /// its own, proof the ring kept within stripes_in_flight.
+  std::size_t slots_created() const {
+    return slots_created_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Pass;
 
   ScrubReport run_pass(const std::string& store_dir,
                        std::optional<std::size_t> rebuild_device);
+  ScrubReport run_pass(OpenStore& store, std::optional<std::size_t> rebuild_device);
+  void start_loop(std::function<ScrubReport()> pass, std::chrono::milliseconds pass_gap);
   void repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t stripe);
   /// Idle-slot gate, then this Scrubber's token bucket, then the shared
   /// cap; true when any of them held the walk (a throttle stall).
-  bool pace(std::size_t bytes);
+  bool pace(std::size_t bytes, const StripeReader& reader);
 
   Codec& codec_;
   ScrubOptions options_;
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_;
-  WorkspacePool<StripeSlot> slots_;
-  /// Aligned chunk staging (sized per pass). Deliberately NOT registered
-  /// with the engine: the engine holds one registered set and it belongs to
-  /// the foreground pipeline; scrub is a guest and takes plain transfers on
-  /// aligned buffers (O_DIRECT still works — alignment is what it needs).
-  ChunkStaging staging_;
-  StripeReader reader_;
-  StripeWriter writer_;
   /// Token bucket on scanned bytes (rate_mbps / burst_bytes).
   SharedBandwidth bucket_;
+  std::atomic<std::size_t> slots_created_{0};
 
   // Background loop.
   std::thread loop_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -63,41 +63,6 @@ struct StorageNode::Queues {
 };
 
 // ---------------------------------------------------------------------------
-// StripeRangeLock
-// ---------------------------------------------------------------------------
-
-void StorageNode::StripeRangeLock::resize(std::size_t stripes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  state_.assign(stripes, 0);
-}
-
-void StorageNode::StripeRangeLock::lock_shared(std::size_t lo, std::size_t hi) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (std::size_t s = lo; s <= hi; ++s) {
-    cv_.wait(lock, [&] { return state_[s] >= 0; });
-    ++state_[s];
-  }
-}
-
-void StorageNode::StripeRangeLock::unlock_shared(std::size_t lo, std::size_t hi) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::size_t s = lo; s <= hi; ++s) --state_[s];
-  cv_.notify_all();
-}
-
-void StorageNode::StripeRangeLock::lock_exclusive(std::size_t stripe) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return state_[stripe] == 0; });
-  state_[stripe] = -1;
-}
-
-void StorageNode::StripeRangeLock::unlock_exclusive(std::size_t stripe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  state_[stripe] = 0;
-  cv_.notify_all();
-}
-
-// ---------------------------------------------------------------------------
 // Lifecycle
 // ---------------------------------------------------------------------------
 
@@ -123,49 +88,17 @@ StorageNode::~StorageNode() {
 
 void StorageNode::start() {
   if (started_) throw std::runtime_error("StorageNode: already started");
-  store_ = StripeStore::load(store_dir_);
-  const std::string mismatch = store_.config_mismatch(codec_.code().config());
-  if (!mismatch.empty()) throw std::runtime_error("StorageNode: " + mismatch);
-  stripe_data_ = codec_.code().data_symbol_count() * store_.symbol_bytes;
-
-  data_positions_ = StripeStore::data_positions(codec_.code().layout());
-
-  // Per-stripe data-hash folds, maintained incrementally by the write path so
-  // flush_manifest never re-reads content bytes.
-  stripe_hashes_.assign(store_.stripes, 0);
-  for (std::size_t s = 0; s < store_.stripes; ++s)
-    stripe_hashes_[s] = store_.stripe_data_hash(s, data_positions_);
-
   engine_ = io::engine_or_create(options_.io.engine, owned_engine_);
-
-  // Long-lived write-path fds.
-  dev_fds_.assign(store_.cfg.n, -1);
-  for (std::size_t j = 0; j < store_.cfg.n; ++j) {
-    dev_fds_[j] =
-        engine_->open_update(StripeStore::device_path(store_dir_, j), store_.open_mode());
-    if (dev_fds_[j] < 0) {
-      const int err = errno;
-      for (int fd : dev_fds_)
-        if (fd >= 0) engine_->close(fd);
-      dev_fds_.clear();
-      throw std::runtime_error("StorageNode: cannot open " +
-                               StripeStore::device_path(store_dir_, j) + ": " +
-                               std::strerror(err));
-    }
-  }
-
   std::size_t workers = options_.workers;
   if (workers == 0)
     workers = std::min<std::size_t>(4, std::max<std::size_t>(2, codec_.pool().concurrency()));
+  // Staging for one stripe per worker plus the scrubber's ring.
+  const std::size_t depth =
+      workers + (options_.scrub ? options_.scrub_options.stripes_in_flight : 0);
+  open_store_ = std::make_unique<OpenStore>(codec_, *engine_, store_dir_,
+                                            OpenStore::Access::kUpdate, depth);
+  stripe_data_ = codec_.code().data_symbol_count() * open_store_->store().symbol_bytes;
 
-  // One reader and one writer serve every worker over one staging pool,
-  // sized once here for the store's fixed geometry.
-  staging_ = std::make_unique<ChunkStaging>(*engine_, true);
-  staging_->reserve(store_, workers * store_.cfg.n);
-  reader_ = std::make_unique<StripeReader>(codec_, *engine_, *staging_);
-  writer_ = std::make_unique<StripeWriter>(*staging_);
-
-  range_lock_.resize(store_.stripes);
   queues_ = std::make_unique<Queues>();
   queues_->q.resize(options_.tenants);
   tenant_counters_.clear();
@@ -195,7 +128,7 @@ void StorageNode::start() {
       sopt.hold = [this] { return foreground_pressure(); };
     }
     scrubber_ = std::make_unique<Scrubber>(codec_, sopt);
-    scrubber_->start(store_dir_);
+    scrubber_->start(*open_store_);
   }
 }
 
@@ -222,7 +155,8 @@ void StorageNode::drain() {
              in_service_.load(std::memory_order_relaxed) == 0;
     });
   }
-  flush_manifest();
+  // Every acknowledged write saved already; this retries a failed save.
+  open_store_->save();
 }
 
 void StorageNode::stop() {
@@ -236,11 +170,7 @@ void StorageNode::stop() {
   for (std::thread& t : workers_) t.join();
   workers_.clear();
   scrubber_.reset();
-  writer_.reset();
-  reader_.reset();
-  staging_.reset();
-  for (int fd : dev_fds_) engine_->close(fd);
-  dev_fds_.clear();
+  open_store_.reset();
   stopped_ = true;
   started_ = false;
 }
@@ -264,13 +194,14 @@ StorageNode::Future StorageNode::submit(Request request) {
 
   // Shape checks complete immediately (ok=false), they don't reject: the
   // request was understood and refused on its merits, not on queue pressure.
+  const StripeStore& store = open_store_->store();
   std::string shape_error;
   if (request.type == RequestType::kWrite) {
-    if (request.stripe >= store_.stripes) {
+    if (request.stripe >= store.stripes) {
       shape_error = "write stripe out of range";
     } else {
       const std::size_t expected =
-          std::min(stripe_data_, store_.file_size - request.stripe * stripe_data_);
+          std::min(stripe_data_, store.file_size - request.stripe * stripe_data_);
       if (request.data.size() != expected)
         shape_error = "write payload is " + std::to_string(request.data.size()) +
                       " bytes, stripe holds " + std::to_string(expected);
@@ -279,8 +210,8 @@ StorageNode::Future StorageNode::submit(Request request) {
     // Subtraction form: offset + size can wrap past 2^64 and sneak a huge
     // offset through (the span arithmetic downstream would then index
     // stripes that do not exist).
-    if (request.offset > store_.file_size ||
-        request.out.size() > store_.file_size - request.offset)
+    if (request.offset > store.file_size ||
+        request.out.size() > store.file_size - request.offset)
       shape_error = "read past end of file";
   }
   if (!shape_error.empty()) {
@@ -362,8 +293,8 @@ std::vector<StorageNode::StatePtr> StorageNode::next_batch() {
     const std::size_t s1 =
         static_cast<std::size_t>((lead.offset + lead.out.size() - 1) / stripe_data_);
     const std::uint64_t span_lo = std::uint64_t{s0} * stripe_data_;
-    const std::uint64_t span_hi =
-        std::min<std::uint64_t>(std::uint64_t{s1 + 1} * stripe_data_, store_.file_size);
+    const std::uint64_t span_hi = std::min<std::uint64_t>(std::uint64_t{s1 + 1} * stripe_data_,
+                                                          open_store_->store().file_size);
     for (std::size_t i = 0; i < options_.tenants && batch.size() < options_.batch_limit; ++i) {
       const std::size_t t = (leader_tenant + 1 + i) % options_.tenants;
       auto& dq = queues_->q[t][cls];
@@ -412,6 +343,7 @@ void StorageNode::worker_loop() {
 // ---------------------------------------------------------------------------
 
 void StorageNode::serve_reads(std::vector<StatePtr>& batch) {
+  OpenStore& store = *open_store_;
   // The union span is the leader's stripe span (riders were chosen inside
   // it); lock it shared so a concurrent stripe write cannot tear the bytes.
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
@@ -421,20 +353,20 @@ void StorageNode::serve_reads(std::vector<StatePtr>& batch) {
   }
   const std::size_t s0 = static_cast<std::size_t>(lo / stripe_data_);
   const std::size_t s1 = static_cast<std::size_t>((hi - 1) / stripe_data_);
-  range_lock_.lock_shared(s0, s1);
+  store.lock(s0, s1, /*exclusive=*/false);
 
   IoStats st;
   if (batch.size() == 1) {
-    st = reader_->read_range(store_, store_dir_, batch[0]->req.offset, batch[0]->req.out);
+    st = store.reader().read_range(batch[0]->req.offset, batch[0]->req.out);
   } else {
     // One shared submission serves the whole batch: read the union span into
     // leased staging, then scatter each member's sub-range.
-    const WorkspacePool<StripeSlot>::Lease span = slots_.acquire();
+    const WorkspacePool<StripeSlot>::Lease span = store.slots().acquire();
     const std::uint64_t span_lo = std::uint64_t{s0} * stripe_data_;
     const std::uint64_t span_hi =
-        std::min<std::uint64_t>(std::uint64_t{s1 + 1} * stripe_data_, store_.file_size);
+        std::min<std::uint64_t>(std::uint64_t{s1 + 1} * stripe_data_, store.store().file_size);
     span->data.resize(static_cast<std::size_t>(span_hi - span_lo));
-    st = reader_->read_range(store_, store_dir_, span_lo, span->data);
+    st = store.reader().read_range(span_lo, span->data);
     if (st.ok) {
       for (const StatePtr& s : batch) {
         std::memcpy(s->req.out.data(), span->data.data() + (s->req.offset - span_lo),
@@ -443,7 +375,7 @@ void StorageNode::serve_reads(std::vector<StatePtr>& batch) {
     }
   }
 
-  range_lock_.unlock_shared(s0, s1);
+  store.unlock(s0, s1);
 
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const StatePtr& s = batch[i];
@@ -461,32 +393,33 @@ void StorageNode::serve_reads(std::vector<StatePtr>& batch) {
 }
 
 void StorageNode::serve_write(const StatePtr& state) {
+  OpenStore& store = *open_store_;
   const Request& req = state->req;
-  const StairConfig& cfg = store_.cfg;
+  const StairConfig& cfg = store.store().cfg;
   std::vector<std::uint64_t> new_checksums(cfg.n * cfg.r);
   std::string error;
 
-  StripeRing ring(slots_, 1);
+  StripeRing ring(store.slots(), 1);
   {
     StripeRing::Lease slot = ring.acquire();
-    if (!slot->buf || slot->buf->symbol_size() != store_.symbol_bytes)
-      slot->buf.emplace(codec_.code(), store_.symbol_bytes);
+    if (!slot->buf) slot->buf.emplace(codec_.code(), store.store().symbol_bytes);
     // Stage the payload at full stripe width (tail stripes encode
     // zero-padded, exactly like encode_file laid them down).
     slot->data.assign(req.data.begin(), req.data.end());
     slot->data.resize(stripe_data_, 0);
     slot->buf->set_data(slot->data);
 
-    range_lock_.lock_exclusive(req.stripe);
+    store.lock(req.stripe, req.stripe, /*exclusive=*/true);
     try {
       codec_.submit_encode(slot->buf->view()).wait();
-      // Rewrite all n chunks in place through the long-lived fds; the writer
+      // Rewrite all n chunks in place through the store's fds; the writer
       // hashes the new sectors on the way.
       const StripeView& view = slot->buf->view();
-      writer_->write(ring, std::move(slot), store_, view, dev_fds_, req.stripe, new_checksums,
-                     [&error](int err) {
-                       if (err) error = std::string("chunk write failed: ") + std::strerror(err);
-                     });
+      store.writer().write(ring, std::move(slot), view, store.fds(), req.stripe, new_checksums,
+                           [&error](int err) {
+                             if (err)
+                               error = std::string("chunk write failed: ") + std::strerror(err);
+                           });
     } catch (const std::exception& e) {
       error = e.what();
     }
@@ -495,39 +428,25 @@ void StorageNode::serve_write(const StatePtr& state) {
 
   const bool ok = error.empty();
   if (ok) {
-    // The store's new truth: sector checksums, this stripe's data fold, the
-    // whole-file fold — then the manifest on disk, so the recovery point
-    // trails each write by at most one save.
-    std::lock_guard<std::mutex> lock(manifest_mu_);
-    std::copy(new_checksums.begin(), new_checksums.end(),
-              store_.sector_checksums.begin() +
-                  static_cast<std::ptrdiff_t>(req.stripe * cfg.n * cfg.r));
-    stripe_hashes_[req.stripe] = store_.stripe_data_hash(req.stripe, data_positions_);
-    store_.data_checksum = combine_hashes(stripe_hashes_);
+    // The store's new truth, then the manifest on disk, before the ack: the
+    // recovery point never trails an acknowledged write. A failed save
+    // leaves the chunks on disk and the store consistent in memory; drain()
+    // retries it.
+    store.set_stripe(req.stripe, new_checksums);
     try {
-      store_.save(store_dir_);
+      store.save();
     } catch (const std::exception& e) {
-      // Chunks are on disk and self-consistent in memory; the on-disk
-      // manifest is stale until the next successful flush (drain retries).
-      manifest_dirty_ = true;
       error = e.what();
     }
   }
 
-  range_lock_.unlock_exclusive(req.stripe);
+  store.unlock(req.stripe, req.stripe);
 
   Response resp;
   resp.ok = ok;
   resp.error = std::move(error);
   resp.bytes = ok ? req.data.size() : 0;
   complete(state, std::move(resp));
-}
-
-void StorageNode::flush_manifest() {
-  std::lock_guard<std::mutex> lock(manifest_mu_);
-  store_.data_checksum = combine_hashes(stripe_hashes_);
-  store_.save(store_dir_);
-  manifest_dirty_ = false;
 }
 
 void StorageNode::complete(const StatePtr& state, Response response) {
@@ -617,12 +536,14 @@ namespace {
 std::size_t env_size(const char* name, std::size_t fallback) {
   const char* raw = std::getenv(name);
   if (!raw || !*raw) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (errno != 0 || end == raw || *end != '\0')
+  // Digits only: strtoull would take a sign or leading space, and "-1"
+  // would wrap to 2^64 - 1.
+  const char* end = raw + std::strlen(raw);
+  std::size_t v = 0;
+  const auto [stop, err] = std::from_chars(raw, end, v);
+  if (err != std::errc{} || stop != end)
     throw std::runtime_error(std::string(name) + ": invalid value '" + raw + "'");
-  return static_cast<std::size_t>(v);
+  return v;
 }
 
 bool env_bool(const char* name, bool fallback) {

@@ -1,12 +1,8 @@
 // StorageNode — the served system over the fast data path.
 //
-// PRs 1–8 made a single caller fast: SIMD kernels, compiled schedules, a
-// stripe-batch Codec session, an async O_DIRECT-capable IO pipeline, online
-// scrub/repair. Nothing arbitrated between callers — every bench was one
-// tenant in an open throughput loop. A StorageNode turns the data path into
-// a long-running service where competing clients and background maintenance
-// contend under explicit policy, and where the headline number becomes tail
-// latency vs offered load instead of GB/s:
+// A StorageNode turns the data path into a long-running service where
+// competing clients and background maintenance contend under explicit
+// policy, and where the headline number is tail latency vs offered load:
 //
 //   * Admission: per-tenant bounded queues. A submit against a full queue
 //     (or a draining node) is rejected immediately — reject-with-backpressure,
@@ -36,22 +32,16 @@
 // scheduling and accounting layer a network frontend would sit on, kept
 // transport-free so tests and benches drive it at memory speed.
 //
-// The node runs the one stripe engine (stair/stripe_engine.h), shared by
-// all its workers over one chunk staging pool. Its only IO setting is the
-// engine: the store's layout decides O_DIRECT (StripeStore::open_mode), and
-// the staging pool registers with the engine whenever the engine accepts
-// (uring). Reads are served sector-granularly through
-// StripeReader::read_range — including degraded reads during a device
-// rebuild, which decode through the session plan cache. Writes are
-// stripe-granular: the stripe is re-encoded through the Codec session, the
-// StripeWriter rewrites all n chunks through long-lived fds, and the
-// manifest's sector checksums and whole-file fold are refreshed
-// and re-saved, so a drained store is always self-consistent.
-// Stripe-range locks order concurrent reads and writes of the same stripes;
-// a write racing a scrub pass is safe by the Scrubber's proven-before-write
-// rule (a stale-manifest reconstruction cannot pass re-verification, so the
-// pass counts the stripe and moves on; the next pass sees the re-saved
-// manifest).
+// start() opens the node's one OpenStore (stair/open_store.h) on the
+// node's engine; workers and the background scrubber borrow it. Reads are
+// served sector-granularly by its StripeReader::read_range — degraded ones
+// (a device mid-rebuild) decode through the session plan cache. A write
+// re-encodes its stripe, rewrites all n chunks through the StripeWriter,
+// and installs the new checksums and re-saves the manifest before the ack.
+// Stripe locks order it all: reads shared, writes exclusive, and the
+// scrubber shared from a stripe's reads until its repairs retire, so scrub
+// verifies against the live checksums and never sees a write half done. A
+// repair writes bytes the manifest already describes and saves nothing.
 //
 // Thread-safety: submit()/stats() from any thread; Future::wait() blocks the
 // caller only. Request buffers (out/data spans) must stay valid until the
@@ -71,10 +61,9 @@
 #include <vector>
 
 #include "stair/codec.h"
+#include "stair/open_store.h"
 #include "stair/scrub_repair.h"
-#include "stair/stripe_engine.h"
 #include "util/latency.h"
-#include "util/workspace_pool.h"
 
 namespace stair {
 
@@ -139,10 +128,10 @@ class StorageNode {
     /// supplies one).
     bool scrub = false;
     ScrubOptions scrub_options;
-    /// The read/write path's IO. `io.engine` (borrowed) is shared by the
-    /// node's reader and writer and by the scrubber — the fault-injection
+    /// The store's IO. `io.engine` (borrowed) carries every transfer of
+    /// the node's store, the scrubber's included — the fault-injection
     /// seam; nullptr lets the node create one (io::Engine::create()). The
-    /// store's layout decides O_DIRECT, and the node's staging registers
+    /// store's layout decides O_DIRECT, and the store's staging registers
     /// with the engine whenever the engine accepts.
     struct Io {
       io::Engine* engine = nullptr;
@@ -195,8 +184,8 @@ class StorageNode {
   };
 
   /// Node over an existing StripeStore in `store_dir`, served through
-  /// `codec` (borrowed; its config must match the store's). start() loads
-  /// the manifest and spawns the service.
+  /// `codec` (borrowed; its config must match the store's). start() opens
+  /// the store and spawns the service.
   StorageNode(Codec& codec, std::string store_dir);
   StorageNode(Codec& codec, std::string store_dir, Options options);
   /// Destruction stops the node (drain + shutdown) if still running.
@@ -205,9 +194,9 @@ class StorageNode {
   StorageNode(const StorageNode&) = delete;
   StorageNode& operator=(const StorageNode&) = delete;
 
-  /// Loads the manifest, opens long-lived device fds, spawns workers (and
-  /// the background scrubber when configured). Throws on a missing/garbled
-  /// manifest or a codec/store config mismatch.
+  /// Opens the store (manifest, long-lived device fds, stripe engine),
+  /// spawns workers (and the background scrubber when configured). Throws
+  /// on a missing/garbled manifest or a codec/store config mismatch.
   void start();
 
   /// Admission: bounds-checks the request, charges the tenant's queue, and
@@ -229,12 +218,13 @@ class StorageNode {
   Stats stats() const;
 
   bool started() const { return started_; }
-  Codec& codec() { return codec_; }
   io::Engine& engine() { return *engine_; }
-  const std::string& store_dir() const { return store_dir_; }
-  /// The in-memory manifest. Stable geometry; sector checksums mutate under
-  /// write traffic, so read them only on a quiescent (drained) node.
-  const StripeStore& store() const { return store_; }
+  /// The in-memory manifest (started node). Stable geometry; sector checksums
+  /// mutate under write traffic, so read them only on a drained node.
+  const StripeStore& store() const { return open_store_->store(); }
+  /// The node's open store, for maintenance that must run while it serves
+  /// (Scrubber::rebuild_device(OpenStore&, device)). Valid until stop().
+  OpenStore& open_store() { return *open_store_; }
   std::size_t stripe_data_bytes() const { return stripe_data_; }
 
  private:
@@ -249,52 +239,16 @@ class StorageNode {
   void serve_reads(std::vector<StatePtr>& batch);
   void serve_write(const StatePtr& state);
   void complete(const StatePtr& state, Response response);
-  void flush_manifest();
   bool foreground_pressure() const;
 
   Codec& codec_;
   std::string store_dir_;
   Options options_;
 
-  // IO plumbing: one reader and one writer shared by every worker (the
-  // engine is shared with the scrubber too).
   std::unique_ptr<io::Engine> owned_engine_;
   io::Engine* engine_ = nullptr;
-  WorkspacePool<StripeSlot> slots_;  // write stripes and batch-read spans
-  std::unique_ptr<ChunkStaging> staging_;
-  std::unique_ptr<StripeReader> reader_;
-  std::unique_ptr<StripeWriter> writer_;
-  std::vector<int> dev_fds_;  // long-lived write-path fds
-
-  // Store state (guarded by manifest_mu_ once serving).
-  mutable std::mutex manifest_mu_;
-  StripeStore store_;
-  /// Per-stripe data-hash folds, kept current by the write path so the
-  /// whole-file fold refreshes without re-reading content.
-  std::vector<std::uint64_t> stripe_hashes_;
-  bool manifest_dirty_ = false;
+  std::unique_ptr<OpenStore> open_store_;  // workers and scrubber borrow it
   std::size_t stripe_data_ = 0;
-  /// (row, device) of each data symbol in data order — the manifest fold
-  /// needs it.
-  std::vector<StripeStore::Position> data_positions_;
-
-  /// Per-stripe shared/exclusive occupancy: readers hold their stripe span,
-  /// a writer holds its stripe, so a write cannot tear bytes out from under
-  /// a concurrent read of the same stripe.
-  class StripeRangeLock {
-   public:
-    void resize(std::size_t stripes);
-    void lock_shared(std::size_t lo, std::size_t hi);
-    void unlock_shared(std::size_t lo, std::size_t hi);
-    void lock_exclusive(std::size_t stripe);
-    void unlock_exclusive(std::size_t stripe);
-
-   private:
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::vector<std::int32_t> state_;  // -1 writer, else reader count
-  };
-  StripeRangeLock range_lock_;
 
   // Scheduler (guarded by sched_mu_).
   mutable std::mutex sched_mu_;

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "stair/open_store.h"
 #include "util/thread_pool.h"
 
 namespace stair {
@@ -73,41 +74,25 @@ void StripeRing::tally(IoStats& st) const {
 // ChunkStaging
 // ---------------------------------------------------------------------------
 
-ChunkStaging::ChunkStaging(io::Engine& engine, bool register_buffers)
-    : engine_(engine), register_(register_buffers) {}
+ChunkStaging::ChunkStaging(io::Engine& engine, const StripeStore& store,
+                           std::size_t capacity)
+    : engine_(engine),
+      pool_(store.padded_chunk_bytes(), store.staging_alignment(), capacity) {
+  // ENOTSUP (thread backend), EBUSY (another store's set is live) or ENOMEM
+  // just mean the plain path: the buffers stay aligned and valid either way.
+  const auto regions = pool_.regions();
+  registered_ = capacity && engine_.register_buffers({regions.data(), regions.size()}) == 0;
+}
 
 ChunkStaging::~ChunkStaging() {
   // Unpin before the pool (and, for owned engines, the ring) goes away.
   if (registered_) engine_.unregister_buffers();
 }
 
-void ChunkStaging::reserve(const StripeStore& store, std::size_t capacity) {
-  const std::size_t bytes = store.padded_chunk_bytes();
-  const std::size_t align = store.staging_alignment();
-  const std::size_t target = (bytes + align - 1) / align * align;
-  if (!pool_ || pool_->buffer_bytes() != target || pool_->alignment() != align) {
-    if (registered_) {
-      engine_.unregister_buffers();
-      registered_ = false;
-    }
-    // Old leases (held by warm slots) keep the old pool's backing store
-    // alive until lease_chunks swaps them for right-sized ones.
-    pool_ = std::make_unique<IoBufferPool>(bytes, align, capacity);
-  }
-  if (register_ && !registered_) {
-    const auto regions = pool_->regions();
-    // ENOTSUP (thread backend) or EBUSY/ENOMEM just mean the plain path:
-    // the buffers stay aligned and valid either way.
-    registered_ = engine_.register_buffers({regions.data(), regions.size()}) == 0;
-  }
-}
-
 void ChunkStaging::lease_chunks(StripeSlot& slot, std::size_t devices) {
   slot.chunks.resize(devices);
   for (auto& lease : slot.chunks)
-    if (!lease || lease->bytes < pool_->buffer_bytes() ||
-        reinterpret_cast<std::uintptr_t>(lease->data) % pool_->alignment() != 0)
-      lease = pool_->acquire();
+    if (!lease) lease = pool_.acquire();
 }
 
 void ChunkStaging::read(int fd, std::uint64_t offset, IoBuffer& chunk, std::size_t bytes,
@@ -137,31 +122,22 @@ void ChunkStaging::write(int fd, std::uint64_t offset, const IoBuffer& chunk,
 struct StripeReader::Job {
   StripeRing& ring;
   StripeRing::Lease slot;
-  const StripeStore& store;
   std::size_t stripe;
   Plan plan;
   Done done;
 };
 
-StripeReader::StripeReader(Codec& codec, io::Engine& engine, ChunkStaging& staging)
-    : codec_(codec),
-      engine_(engine),
-      staging_(staging),
-      positions_(StripeStore::data_positions(codec.code().layout())) {}
-
-void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, const StripeStore& store,
-                        std::span<const int> fds, std::size_t stripe, Plan plan,
-                        Done done) {
+void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, std::size_t stripe,
+                        Plan plan, Done done) {
+  const StripeStore& store = open_.store();
   const StairConfig& cfg = store.cfg;
-  if (!slot->buf || slot->buf->symbol_size() != store.symbol_bytes)
-    slot->buf.emplace(codec_.code(), store.symbol_bytes);
-  staging_.lease_chunks(*slot, cfg.n);
+  if (!slot->buf) slot->buf.emplace(codec_.code(), store.symbol_bytes);
+  open_.staging().lease_chunks(*slot, cfg.n);
   slot->results.assign(cfg.n, io::Result{});
   slot->sector_bad.assign(cfg.r * cfg.n, 0);
   slot->pending.store(cfg.n, std::memory_order_relaxed);
 
-  auto job = std::make_shared<Job>(
-      Job{ring, std::move(slot), store, stripe, plan, std::move(done)});
+  auto job = std::make_shared<Job>(Job{ring, std::move(slot), stripe, plan, std::move(done)});
   for (std::size_t j = 0; j < cfg.n; ++j) {
     auto complete = [this, job, j](const io::Result& r) {
       job->slot->results[j] = r;  // devices are disjoint; the countdown publishes
@@ -172,17 +148,18 @@ void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, const StripeSt
       // throughput then drops as stripes in flight rise.)
       codec_.pool().submit([this, job, j] { verify_chunk(*job, j); });
     };
-    if (fds[j] < 0 || plan.erase == j)
+    const int fd = open_.fds()[j];
+    if (fd < 0 || plan.erase == j)
       complete(io::Result{ENOENT, 0});
     else
-      staging_.read(fds[j], store.chunk_offset(stripe), *job->slot->chunks[j],
-                    store.padded_chunk_bytes(), std::move(complete));
+      open_.staging().read(fd, store.chunk_offset(stripe), *job->slot->chunks[j],
+                           store.padded_chunk_bytes(), std::move(complete));
   }
 }
 
 void StripeReader::verify_chunk(Job& job, std::size_t device) {
   StripeSlot& sl = *job.slot;
-  const StripeStore& store = job.store;
+  const StripeStore& store = open_.store();
   const std::size_t symbol = store.symbol_bytes;
   const io::Result& r = sl.results[device];
   if (job.plan.erase != device && r.ok() && r.bytes == store.padded_chunk_bytes()) {
@@ -204,7 +181,7 @@ void StripeReader::verify_chunk(Job& job, std::size_t device) {
 void StripeReader::assemble(Job& job) {
   StripeRing& ring = job.ring;
   StripeSlot& sl = *job.slot;
-  const StripeStore& store = job.store;
+  const StripeStore& store = open_.store();
   const std::size_t n = store.cfg.n, symbol = store.symbol_bytes;
   try {
     sl.mask.assign(store.cfg.r * n, false);
@@ -303,11 +280,9 @@ struct CompletionLatch {
 
 }  // namespace
 
-IoStats StripeReader::read_range(const StripeStore& store, const std::string& dir,
-                                 std::uint64_t offset, std::span<std::uint8_t> out) {
+IoStats StripeReader::read_range(std::uint64_t offset, std::span<std::uint8_t> out) {
+  const StripeStore& store = open_.store();
   IoStats st;
-  st.error = store.config_mismatch(codec_.code().config());
-  if (!st.error.empty()) return st;
   if (out.empty()) {
     st.ok = true;
     return st;
@@ -325,16 +300,9 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
   // so sector reads widen to the enclosing block window inside the padded
   // chunk (read into an aligned lease, copy out the wanted span). An
   // unpadded store keeps exact positioned reads.
-  const io::OpenMode mode = store.open_mode();
-  const bool aligned = mode == io::OpenMode::kDirect;
-  const std::size_t stripe_data = positions_.size() * symbol;
-
-  // Devices are opened lazily: a short range touches few of them.
-  std::vector<int> fds(n, -2);
-  auto dev_fd = [&](std::size_t j) {
-    if (fds[j] == -2) fds[j] = engine_.open_read(StripeStore::device_path(dir, j), mode);
-    return fds[j];
-  };
+  const bool aligned = store.open_mode() == io::OpenMode::kDirect;
+  const std::span<const StripeStore::Position> positions = open_.positions();
+  const std::size_t stripe_data = positions.size() * symbol;
 
   std::vector<std::uint8_t> sectors;  // wanted-sector staging, happy path
   const std::size_t first_stripe = offset / stripe_data;
@@ -363,8 +331,8 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
     {
       CompletionLatch latch(count);
       for (std::size_t k = 0; k < count; ++k) {
-        const auto [row, dev] = positions_[d_lo + k];
-        const int fd = dev_fd(dev);
+        const auto [row, dev] = positions[d_lo + k];
+        const int fd = open_.fds()[dev];
         if (fd < 0) {
           results[k] = io::Result{ENOENT, 0};
           latch.done();
@@ -380,11 +348,11 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
           const std::size_t whi =
               std::min(padded, (sec_off + symbol + block - 1) / block * block);
           windows[k] = {wlo, whi - wlo};
-          window_leases[k] = staging_.acquire();
-          engine_.read(fd, store.chunk_offset(s) + wlo,
+          window_leases[k] = open_.staging().acquire();
+          open_.engine().read(fd, store.chunk_offset(s) + wlo,
                        std::span(window_leases[k]->data, whi - wlo), std::move(done));
         } else {
-          engine_.read(fd, store.chunk_offset(s) + sec_off,
+          open_.engine().read(fd, store.chunk_offset(s) + sec_off,
                        std::span(sectors.data() + k * symbol, symbol), std::move(done));
         }
       }
@@ -392,7 +360,7 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
     }
     bool clean = true;
     for (std::size_t k = 0; k < count; ++k) {
-      const auto [row, dev] = positions_[d_lo + k];
+      const auto [row, dev] = positions[d_lo + k];
       st.bytes_read += results[k].bytes;
       const std::size_t expected = aligned ? windows[k].second : symbol;
       const bool got = results[k].ok() && results[k].bytes == expected;
@@ -416,16 +384,15 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
     // reconstructed symbol the range needs must match its manifest checksum
     // before its bytes are served (read ones were verified on arrival).
     ++st.degraded_stripes;
-    for (std::size_t j = 0; j < n; ++j) dev_fd(j);
     std::string error;
-    StripeRing ring(range_slots_, 1);
-    read(ring, ring.acquire(), store, fds, s, {}, [&](StripeRing::Lease slot) {
+    StripeRing ring(open_.slots(), 1);
+    read(ring, ring.acquire(), s, {}, [&](StripeRing::Lease slot) {
       if (!slot->recovered) {
         error = "stripe " + std::to_string(s) + " unrecoverable for ranged read";
         return;
       }
       for (std::size_t k = 0; k < count; ++k) {
-        const auto [row, dev] = positions_[d_lo + k];
+        const auto [row, dev] = positions[d_lo + k];
         if (slot->mask[row * n + dev] &&
             content_hash64(slot->view.stored[row * n + dev]) !=
                 store.sector_checksum(s, dev, row)) {
@@ -449,8 +416,6 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
       st.error = std::move(error);
     }
   }
-  for (int fd : fds)
-    if (fd >= 0) engine_.close(fd);
   st.ok = st.error.empty();
   return st;
 }
@@ -459,14 +424,16 @@ IoStats StripeReader::read_range(const StripeStore& store, const std::string& di
 // StripeWriter
 // ---------------------------------------------------------------------------
 
-void StripeWriter::write(StripeRing& ring, StripeRing::Lease slot, const StripeStore& store,
-                         const StripeView& stripe, std::span<const int> fds,
-                         std::size_t index, std::span<std::uint64_t> checksums, Done done) {
+void StripeWriter::write(StripeRing& ring, StripeRing::Lease slot, const StripeView& stripe,
+                         std::span<const int> fds, std::size_t index,
+                         std::span<std::uint64_t> checksums, Done done) {
+  const StripeStore& store = open_.store();
+  ChunkStaging& staging = open_.staging();
   const StairConfig& cfg = store.cfg;
   const std::size_t symbol = store.symbol_bytes;
   const std::size_t chunk_bytes = store.chunk_bytes();
   const std::size_t padded = store.padded_chunk_bytes();
-  staging_.lease_chunks(*slot, cfg.n);
+  staging.lease_chunks(*slot, cfg.n);
   std::size_t writes = 0;
   for (std::size_t j = 0; j < cfg.n; ++j) {
     if (fds[j] < 0) continue;
@@ -476,7 +443,7 @@ void StripeWriter::write(StripeRing& ring, StripeRing::Lease slot, const StripeS
     // each while it is warm from the copy.
     for (std::size_t i = 0; i < cfg.r; ++i) {
       const std::span<const std::uint8_t> sym = stripe.stored[i * cfg.n + j];
-      std::memcpy(chunk + i * symbol, sym.data(), symbol);
+      if (sym.data() != chunk + i * symbol) std::memcpy(chunk + i * symbol, sym.data(), symbol);
       if (!checksums.empty()) checksums[j * cfg.r + i] = content_hash64(sym);
     }
     // Pad bytes are written (zeroed) rather than skipped: the whole padded
@@ -492,16 +459,16 @@ void StripeWriter::write(StripeRing& ring, StripeRing::Lease slot, const StripeS
   auto finish = std::make_shared<Done>(std::move(done));
   for (std::size_t j = 0; j < cfg.n; ++j) {
     if (fds[j] < 0) continue;
-    staging_.write(fds[j], store.chunk_offset(index), *slot->chunks[j], padded,
-                   [&ring, slot, finish, padded](const io::Result& r) {
-                     ring.bytes_written.fetch_add(r.bytes, std::memory_order_relaxed);
-                     if (!r.ok() || r.bytes < padded) {
-                       int none = 0;
-                       slot->write_error.compare_exchange_strong(none, r.error ? r.error : EIO);
-                     }
-                     if (slot->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-                       (*finish)(slot->write_error.load(std::memory_order_relaxed));
-                   });
+    staging.write(fds[j], store.chunk_offset(index), *slot->chunks[j], padded,
+                  [&ring, slot, finish, padded](const io::Result& r) {
+                    ring.bytes_written.fetch_add(r.bytes, std::memory_order_relaxed);
+                    if (!r.ok() || r.bytes < padded) {
+                      int none = 0;
+                      slot->write_error.compare_exchange_strong(none, r.error ? r.error : EIO);
+                    }
+                    if (slot->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                      (*finish)(slot->write_error.load(std::memory_order_relaxed));
+                  });
   }
 }
 

@@ -16,6 +16,9 @@
 //     (zeroed tails) ─▶ hash every sector ─▶ the positioned chunk writes
 //     under one countdown ─▶ callback. Manifest updates stay with the caller.
 //
+// Each live store has one staging pool, reader and writer, built by its
+// OpenStore (stair/open_store.h).
+//
 // Both run inside a StripeRing: the bounded set of stripes one operation has
 // in flight. A ring leases slots (coding scratch, chunk staging, the
 // reader's verdicts) up to its depth, keeps the operation's first fatal
@@ -47,6 +50,8 @@
 
 namespace stair {
 
+class OpenStore;
+
 /// Outcome + counters of one store operation (IoPipeline::Stats). `ok` is
 /// the everything-checks-out bit: no fatal IO error, no unrecoverable
 /// stripe, and (decode) the reassembled data matching the manifest.
@@ -63,9 +68,8 @@ struct IoStats {
   std::uint64_t bytes_written = 0;
 };
 
-/// One stripe in flight. Reused warm through a WorkspacePool: buffers and
-/// staging leases stick to the slot and are re-sized only on geometry
-/// change.
+/// One stripe in flight, reused warm through its store's WorkspacePool:
+/// buffers and staging leases stick to the slot.
 struct StripeSlot {
   std::optional<StripeBuffer> buf;          // encode input / decode target
   std::vector<std::uint8_t> data;           // flat stripe data (file side)
@@ -92,8 +96,7 @@ class StripeRing {
  public:
   using Lease = std::shared_ptr<StripeSlot>;
 
-  /// At most `depth` stripes in flight, leasing from `slots` (borrowed; a
-  /// long-lived pool keeps slots warm across operations).
+  /// At most `depth` stripes in flight, leasing from `slots` (the store's).
   StripeRing(WorkspacePool<StripeSlot>& slots, std::size_t depth);
   ~StripeRing();
 
@@ -129,28 +132,22 @@ class StripeRing {
   std::string error_;          // guarded by mu_
 };
 
-/// Aligned chunk staging shared by a reader and a writer: an IoBufferPool
-/// sized to a store's padded chunks, optionally registered with the engine
-/// so chunk transfers take the fixed-buffer path (uring READ_FIXED /
-/// WRITE_FIXED). The engine holds one registered set, so only the owner of
-/// an engine's foreground traffic should ask to register.
+/// A store's aligned chunk staging: an IoBufferPool sized to its padded
+/// chunks, registered with the engine when it accepts (uring READ_FIXED /
+/// WRITE_FIXED). An engine refuses a second set (EBUSY), so every store may
+/// ask; a refused one keeps plain transfers on the same aligned buffers.
 class ChunkStaging {
  public:
-  ChunkStaging(io::Engine& engine, bool register_buffers);
+  /// `capacity` registrable buffers of `store`'s chunk size (0: on demand).
+  ChunkStaging(io::Engine& engine, const StripeStore& store, std::size_t capacity);
   ~ChunkStaging();
 
   ChunkStaging(const ChunkStaging&) = delete;
   ChunkStaging& operator=(const ChunkStaging&) = delete;
 
-  /// Sizes the pool for `store`'s chunks with `capacity` registrable
-  /// buffers, rebuilding it only on a geometry change. Between operations
-  /// only; leases still held keep the old pool's memory alive.
-  void reserve(const StripeStore& store, std::size_t capacity);
-  IoBufferPool::Lease acquire() { return pool_->acquire(); }
-  /// Gives `slot` one chunk lease per device from the current pool.
+  IoBufferPool::Lease acquire() { return pool_.acquire(); }
+  /// Gives `slot` one chunk lease per device (slots keep theirs warm).
   void lease_chunks(StripeSlot& slot, std::size_t devices);
-  /// True while the pool is registered with the engine.
-  bool registered() const { return registered_; }
 
   /// Whole-chunk transfers between a lease and a device file: fixed when
   /// registered, plain otherwise.
@@ -161,8 +158,7 @@ class ChunkStaging {
 
  private:
   io::Engine& engine_;
-  const bool register_;
-  std::unique_ptr<IoBufferPool> pool_;
+  IoBufferPool pool_;
   bool registered_ = false;
 };
 
@@ -181,25 +177,23 @@ class StripeReader {
     bool decode = true;
   };
 
-  StripeReader(Codec& codec, io::Engine& engine, ChunkStaging& staging);
+  /// The reader of `store`'s stripes, built by the store itself.
+  StripeReader(Codec& codec, OpenStore& store) : codec_(codec), open_(store) {}
 
-  /// Reads stripe `stripe` of `store` from `fds` (one per device; < 0 =
-  /// missing) into the slot's staging and runs `done`. Tallies land on
-  /// `ring`; the slot's view/mask/damaged/recovered carry the verdict.
-  /// Damage outside the code's coverage is counted, never thrown.
-  void read(StripeRing& ring, StripeRing::Lease slot, const StripeStore& store,
-            std::span<const int> fds, std::size_t stripe, Plan plan, Done done);
+  /// Reads stripe `stripe` into the slot's staging and runs `done`. Tallies
+  /// land on `ring`; the slot's view/mask/damaged/recovered carry the
+  /// verdict. Damage outside the code's coverage is counted, never thrown.
+  void read(StripeRing& ring, StripeRing::Lease slot, std::size_t stripe, Plan plan,
+            Done done);
 
   /// Serves original-file bytes [offset, offset + out.size()) from the
   /// store without touching stripes outside it. The happy path reads only
   /// the sectors the range needs and verifies each against the manifest;
   /// any miss sends that stripe through read() and the plan cache, and
   /// every reconstructed symbol the range needs is checked against the
-  /// manifest before its bytes are served. Device files open per call, in
-  /// the store's open_mode(). Thread-safe once the staging is reserved for
-  /// `store`.
-  IoStats read_range(const StripeStore& store, const std::string& dir,
-                     std::uint64_t offset, std::span<std::uint8_t> out);
+  /// manifest before its bytes are served. Runs on the store's own fds, so a
+  /// call opens nothing. Thread-safe.
+  IoStats read_range(std::uint64_t offset, std::span<std::uint8_t> out);
 
   /// Decode jobs this reader has in flight (what the Scrubber's idle gate
   /// subtracts from Codec::jobs_in_flight() to see foreground pressure).
@@ -215,10 +209,7 @@ class StripeReader {
   void finish(StripeRing& ring, StripeRing::Lease slot, const Done& done);
 
   Codec& codec_;
-  io::Engine& engine_;
-  ChunkStaging& staging_;
-  const std::vector<StripeStore::Position> positions_;
-  WorkspacePool<StripeSlot> range_slots_;  // read_range's escalations
+  OpenStore& open_;
   std::atomic<std::size_t> decoding_{0};
 };
 
@@ -228,20 +219,22 @@ class StripeWriter {
   /// errno of the first failed write (EIO for a short one).
   using Done = std::function<void(int error)>;
 
-  explicit StripeWriter(ChunkStaging& staging) : staging_(staging) {}
+  /// The writer of `store`'s stripes, built by the store itself.
+  explicit StripeWriter(OpenStore& store) : open_(store) {}
 
   /// Gathers each column j of `stripe` with fds[j] >= 0 into the slot's
   /// chunk staging, zeroing the pad tail (so stores stay byte-identical
   /// whether or not O_DIRECT engaged), hashes its sectors into
   /// checksums[j * r + i] when `checksums` is non-empty (filled before this
-  /// returns), and writes each padded chunk at store.chunk_offset(index).
-  /// Bytes written are tallied on `ring`.
-  void write(StripeRing& ring, StripeRing::Lease slot, const StripeStore& store,
-             const StripeView& stripe, std::span<const int> fds, std::size_t index,
+  /// returns), and writes each padded chunk at chunk_offset(index).
+  /// Symbols already in place (a repair rewriting the chunk it just read)
+  /// are not copied. Bytes written are tallied on `ring`.
+  void write(StripeRing& ring, StripeRing::Lease slot, const StripeView& stripe,
+             std::span<const int> fds, std::size_t index,
              std::span<std::uint64_t> checksums, Done done);
 
  private:
-  ChunkStaging& staging_;
+  OpenStore& open_;
 };
 
 }  // namespace stair

@@ -1,8 +1,8 @@
 #include "stair/stripe_store.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -13,11 +13,16 @@ namespace stair {
 
 std::vector<std::size_t> parse_coverage_list(const std::string& text) {
   std::vector<std::size_t> values;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t next = text.find(',', pos);
-    if (next == std::string::npos) next = text.size();
-    values.push_back(std::strtoull(text.substr(pos, next - pos).c_str(), nullptr, 10));
+  for (std::size_t pos = 0; !text.empty() && pos <= text.size();) {
+    const std::size_t next = std::min(text.find(',', pos), text.size());
+    // from_chars takes no sign, space or prefix; the whole token must parse.
+    const char* end = text.data() + next;
+    std::size_t value = 0;
+    const auto [stop, err] = std::from_chars(text.data() + pos, end, value);
+    if (err != std::errc{} || stop != end || next == pos)
+      throw std::invalid_argument("coverage list '" + text + "': bad token '" +
+                                  text.substr(pos, next - pos) + "'");
+    values.push_back(value);
     pos = next + 1;
   }
   return values;
@@ -79,8 +84,7 @@ std::string StripeStore::manifest_path(const std::string& dir) {
 void StripeStore::save(const std::string& dir) const {
   // Write-aside + rename: the manifest is the store's recovery point, so it
   // must never be observable half-written. The temp name is unique per call
-  // (concurrent savers — e.g. a repair pass racing another — each rename a
-  // complete file; last rename wins atomically).
+  // (concurrent savers each rename a complete file; last rename wins).
   static std::atomic<std::uint64_t> save_seq{0};
   const std::string path = manifest_path(dir);
   const std::string tmp =
@@ -118,7 +122,7 @@ void StripeStore::save(const std::string& dir) const {
 namespace {
 
 [[noreturn]] void manifest_fail(const std::string& what) {
-  throw std::runtime_error("StripeStore: manifest " + what);
+  throw ManifestError("StripeStore: manifest " + what);
 }
 
 /// Checked extraction: a truncated or garbled manifest must fail the parse,
@@ -156,7 +160,11 @@ StripeStore StripeStore::load(const std::string& dir) {
       store.cfg.m = manifest_read<std::size_t>(in, "m");
     } else if (key == "e") {
       const auto v = manifest_read<std::string>(in, "e");
-      store.cfg.e = v == "-" ? std::vector<std::size_t>{} : parse_coverage_list(v);
+      try {
+        store.cfg.e = v == "-" ? std::vector<std::size_t>{} : parse_coverage_list(v);
+      } catch (const std::invalid_argument& e) {
+        manifest_fail(std::string("garbled at e: ") + e.what());
+      }
     } else if (key == "w") {
       store.cfg.w = manifest_read<int>(in, "w");
     } else if (key == "symbol") {

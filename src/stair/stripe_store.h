@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,8 +24,16 @@
 namespace stair {
 
 /// Parses a comma-separated coverage vector ("1,2" -> {1, 2}) — the format
-/// both the manifest and file_codec's CLI use for `e`.
+/// both the manifest and file_codec's CLI use for `e`. A token that is not
+/// plain decimal digits fitting a size_t ("1;2", "1x", "+1", "1,,2") throws
+/// std::invalid_argument: a typo must not encode a different code.
 std::vector<std::size_t> parse_coverage_list(const std::string& text);
+
+/// What StripeStore::load throws for a missing or bad manifest: the store's
+/// recovery point is gone, which callers count apart from other failures.
+struct ManifestError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// 64-bit content hash over a byte span — the sector checksum. A word-wise
 /// multiply-rotate mixer (~8 bytes/cycle of input vs 1 for classic FNV): the
@@ -86,7 +95,6 @@ struct StripeStore {
   /// How chunk files open, decided by the layout alone: a padded store
   /// opens O_DIRECT (the engine falls back to buffered where the filesystem
   /// refuses), an unpadded one has no alignment to offer and stays buffered.
-  /// Sub-block transfers (sector patches) open buffered on their own.
   io::OpenMode open_mode() const {
     return block_bytes > 1 ? io::OpenMode::kDirect : io::OpenMode::kBuffered;
   }
@@ -129,8 +137,8 @@ struct StripeStore {
   void save(const std::string& dir) const;
   /// Loads and validates manifest.txt. Every field is parse-checked and
   /// bounds-checked before it is used to size or index sector_checksums: a
-  /// truncated, garbled, or adversarial manifest throws std::runtime_error
-  /// with a "manifest" message — never UB. (sector_checksum() itself stays
+  /// truncated, garbled, or adversarial manifest throws ManifestError with a
+  /// "manifest" message — never UB. (sector_checksum() itself stays
   /// unchecked; a loaded store is guaranteed self-consistent.)
   static StripeStore load(const std::string& dir);
 };

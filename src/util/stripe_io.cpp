@@ -443,11 +443,9 @@ class UringEngine : public Engine {
 
   int register_buffers(std::span<const std::span<std::uint8_t>> regions) override {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!regions_.empty()) {
-      sys_io_uring_register(ring_fd_, IORING_UNREGISTER_BUFFERS, nullptr, 0);
-      regions_.clear();
-      n_registered_buffers_.store(0, std::memory_order_relaxed);
-    }
+    // One set at a time: replacing a live one would re-index transfers its
+    // owner still has in flight.
+    if (!regions_.empty()) return EBUSY;
     if (regions.empty()) return 0;
     std::vector<iovec> iov(regions.size());
     for (std::size_t i = 0; i < regions.size(); ++i)
@@ -470,11 +468,7 @@ class UringEngine : public Engine {
 
   int register_files(std::span<const int> fds) override {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!fd_index_.empty()) {
-      sys_io_uring_register(ring_fd_, IORING_UNREGISTER_FILES, nullptr, 0);
-      fd_index_.clear();
-      n_registered_files_.store(0, std::memory_order_relaxed);
-    }
+    if (!fd_index_.empty()) return EBUSY;  // one set at a time, as for buffers
     if (fds.empty()) return 0;
     std::vector<std::int32_t> raw(fds.begin(), fds.end());
     if (sys_io_uring_register(ring_fd_, IORING_REGISTER_FILES, raw.data(),

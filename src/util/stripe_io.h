@@ -247,17 +247,18 @@ class Engine {
 
   /// Registers `regions` as the engine's fixed-buffer set (uring:
   /// IORING_REGISTER_BUFFERS — the pages are pinned once, and *_fixed
-  /// transfers inside them skip per-IO pinning). Replaces any previous set;
-  /// call with no transfers in flight. Returns 0 on success or an errno-like
-  /// value (ENOTSUP: backend has no registration — fixed ops still work via
-  /// fallback, so callers may ignore the return and read stats() instead).
+  /// transfers inside them skip per-IO pinning). Returns 0 on success or an
+  /// errno-like value: EBUSY while another set is registered (its owner may
+  /// have transfers in flight, so it is never replaced), ENOTSUP when the
+  /// backend has no registration. Fixed ops still work via fallback, so
+  /// callers may ignore the return and read stats() instead.
   virtual int register_buffers(std::span<const std::span<std::uint8_t>> regions);
   virtual void unregister_buffers();
 
   /// Registers long-lived fds (uring: IORING_REGISTER_FILES). Transfers on a
   /// registered fd are submitted by fixed-file index (IOSQE_FIXED_FILE).
-  /// Replaces any previous set; unregister before closing the fds. Same
-  /// return contract as register_buffers.
+  /// Unregister before closing the fds. Same return contract (EBUSY while
+  /// another set is registered) as register_buffers.
   virtual int register_files(std::span<const int> fds);
   virtual void unregister_files();
 

@@ -600,6 +600,31 @@ TEST(ManifestHardening, GarbledChecksumTokenRejected) {
   EXPECT_EQ(st.manifest_errors, 1u);
 }
 
+// A coverage list the strict parser refuses ("1x,2" once parsed as {1, 2})
+// is a garbled manifest, not a store of some other code.
+TEST(ManifestHardening, GarbledCoverageListRejected) {
+  const StoreCase c = fault_cases()[0];
+  for (const std::string bad : {"e 1x,2", "e 1;2", "e 1,+2"}) {
+    SCOPED_TRACE(bad);
+    TempDir dir("mcover");
+    encode_store(dir, c, 24 * 1000, 34);
+    patch_manifest(dir, "e 1,2", bad);
+    const auto st = decode_store(dir, c);
+    EXPECT_FALSE(st.ok);
+    EXPECT_NE(st.error.find("manifest"), std::string::npos) << st.error;
+    EXPECT_EQ(st.manifest_errors, 1u);
+  }
+}
+
+TEST(ManifestHardening, CoverageListParsesDigitsOnly) {
+  EXPECT_EQ(parse_coverage_list("1,2"), (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(parse_coverage_list("0,12,3"), (std::vector<std::size_t>{0, 12, 3}));
+  EXPECT_TRUE(parse_coverage_list("").empty());
+  for (const char* bad : {"1;2", "1x,2", "1,,2", "1,", ",1", "-1", "+1", " 1", "1 ",
+                          "99999999999999999999999"})
+    EXPECT_THROW(parse_coverage_list(bad), std::invalid_argument) << "'" << bad << "'";
+}
+
 // --- ranged reads -----------------------------------------------------------
 
 // read_range serves exact byte windows, sector-granular: offsets that are
@@ -798,9 +823,9 @@ TEST(RawDeviceLayout, RejectedDirectFallsBackToBufferedByteIdentically) {
   }
 }
 
-// Registered buffers are the engine's call, not an option: every pipeline
-// asks, fixed_buffers_active() reports exactly whether the engine accepted,
-// and the bytes on disk never depend on the answer. On uring the fixed path
+// Registered buffers are the engine's call, not an option: every store a
+// pipeline call opens asks, the engine's stats show what it answered, and
+// the bytes on disk never depend on the answer. On uring the fixed path
 // must actually engage (fixed ops counted, zero fallbacks) when the
 // registered pool covers the ring; the thread backend refuses registration
 // and every transfer stays plain.
@@ -820,13 +845,11 @@ TEST(RawDeviceLayout, FixedBuffersFollowTheEngineAndStoresMatchAcrossBackends) {
     ASSERT_TRUE(pipeline.encode_file(input.string(), (dir.path / "store").string()).ok);
 
     const auto stats = engine->stats();
-    EXPECT_EQ(pipeline.fixed_buffers_active(), stats.registered_buffers > 0);
+    EXPECT_EQ(stats.registered_buffers, 0u) << "the call's store unregisters on close";
     if (iob == io::Backend::kUring) {
-      EXPECT_TRUE(pipeline.fixed_buffers_active());
       EXPECT_GT(stats.fixed_writes, 0u);
       EXPECT_EQ(stats.fixed_fallbacks, 0u);
     } else {
-      EXPECT_FALSE(pipeline.fixed_buffers_active());
       EXPECT_EQ(stats.fixed_writes, 0u);
     }
 

@@ -306,6 +306,23 @@ TEST(ScrubRepairTest, RebuildsDeviceUnderConcurrencyBound) {
   }
 }
 
+// A replaced device that still holds stale bytes — here longer than the
+// store — is emptied first, so the rebuilt file matches the original exactly.
+TEST(ScrubRepairTest, RebuildReplacesAStaleDeviceFile) {
+  const StoreCase c = fault_cases()[0];
+  TempDir dir("rebuild_stale");
+  encode_store(dir, c, 48 * 1024, 61);
+  const auto clean = device_contents(dir, c.cfg.n);
+  write_random_file(dev_path(dir, 2), clean[2].size() + 3 * c.symbol, 62);
+
+  Codec codec(c.cfg);
+  Scrubber scrubber(codec, {});
+  const ScrubReport rep = scrubber.rebuild_device(store_dir(dir), 2);
+  EXPECT_TRUE(rep.ok) << rep.error;
+  EXPECT_EQ(rep.sectors_repaired, rep.stripes * c.cfg.r);
+  EXPECT_EQ(device_contents(dir, c.cfg.n), clean);
+}
+
 TEST(ScrubRepairTest, RebuildRepairsSurvivorDamageOnTheWay) {
   const StoreCase c = fault_cases()[1];  // m=2: survivor sector + lost device
   TempDir dir("rebuild_survivor");

@@ -4,9 +4,10 @@
 // agreement), admission control (fail-fast rejects, bounded queues under
 // flood), multi-tenant fairness (a flooding tenant cannot starve another's
 // reads), priority (queued reads dispatch ahead of queued scans), degraded
-// serving during device loss, scrub-while-serving integration, and the
-// TSan-watched races: concurrent submitters, reader-vs-writer on one
-// stripe, stats() vs everything.
+// serving during device loss, scrub-while-serving integration (a repair
+// never rolls back a node write), and the TSan-watched races: concurrent
+// submitters, reader-vs-writer on one stripe, scrub vs node writes, stats()
+// vs everything.
 
 #include <gtest/gtest.h>
 
@@ -55,6 +56,18 @@ std::vector<std::uint8_t> write_random_file(const fs::path& p, std::size_t bytes
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
   return data;
+}
+
+/// XORs `len` bytes of `path` at `offset` (sector rot).
+void rot_bytes(const std::string& path, std::uint64_t offset, std::size_t len) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f) << "cannot open " << path;
+  std::vector<char> buf(len);
+  f.seekg(static_cast<std::streamoff>(offset));
+  f.read(buf.data(), static_cast<std::streamsize>(len));
+  for (char& c : buf) c = static_cast<char>(c ^ 0x5A);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(buf.data(), static_cast<std::streamsize>(len));
 }
 
 const StairConfig kCfg{.n = 6, .r = 4, .m = 1, .e = {1, 2}, .w = 8};
@@ -468,17 +481,7 @@ TEST(ServiceTest, ScrubsAndRepairsWhileServing) {
   const auto data = encode_store(dir, 40'000, 10);
 
   // Rot a few sectors of one device before the node comes up.
-  {
-    const std::string dev = StripeStore::device_path(store_dir(dir), 1);
-    std::fstream f(dev, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f);
-    char buf[64];
-    f.seekg(100);
-    f.read(buf, sizeof buf);
-    for (char& c : buf) c = static_cast<char>(c ^ 0x5A);
-    f.seekp(100);
-    f.write(buf, sizeof buf);
-  }
+  rot_bytes(StripeStore::device_path(store_dir(dir), 1), 100, 64);
 
   Codec codec(kCfg);
   StorageNode::Options opts{.tenants = 2, .workers = 2, .scrub = true};
@@ -517,7 +520,109 @@ TEST(ServiceTest, ScrubsAndRepairsWhileServing) {
   EXPECT_EQ(dst.degraded_stripes, 0u) << "scrub should have healed the rot";
 }
 
+// The node's scrubber verifies against the node's live checksums and never
+// saves the manifest, so a repair elsewhere in the store cannot roll back a
+// write that landed mid-pass. The decode reads the store as it sits on disk,
+// not drained: what a crash at that moment would leave.
+TEST(ServiceTest, ScrubRepairNeverRollsBackANodeWrite) {
+  TempDir dir("scrub_rollback");
+  Codec codec(kCfg);
+  const std::size_t stripe_data = codec.code().data_symbol_count() * kSymbol;
+  auto data = encode_store(dir, 23 * stripe_data, 17);
+  // One rotted sector in stripe 22, the last one a pass reaches.
+  rot_bytes(StripeStore::device_path(store_dir(dir), 2),
+            StripeStore::load(store_dir(dir)).chunk_offset(22) + kSymbol, 64);
+
+  // Paced so the pass is still walking when the write lands.
+  StorageNode::Options opts{.tenants = 1, .workers = 2, .scrub = true};
+  opts.scrub_options.rate_mbps = 0.3;
+  opts.scrub_options.burst_bytes = 0.0;
+  StorageNode node(codec, store_dir(dir), opts);
+  node.start();
+  std::vector<std::uint8_t> fresh(stripe_data);
+  Rng(18).fill(fresh);
+  const Response w = node.submit(write_req(0, 11, fresh)).wait();
+  ASSERT_TRUE(w.ok) << w.error;
+  std::memcpy(data.data() + 11 * stripe_data, fresh.data(), stripe_data);
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (node.stats().scrub.sectors_repaired == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const ScrubReport rep = node.stats().scrub;
+  EXPECT_GT(rep.sectors_repaired, 0u);
+  EXPECT_EQ(rep.stripes_unrecoverable, 0u);
+
+  Codec codec2(kCfg);
+  IoPipeline pipeline(codec2, {.symbol_bytes = kSymbol});
+  const auto st = pipeline.decode_file(store_dir(dir), (dir.path / "out.bin").string());
+  EXPECT_TRUE(st.ok) << st.error;
+  std::ifstream in(dir.path / "out.bin", std::ios::binary);
+  const std::vector<std::uint8_t> decoded{std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()};
+  EXPECT_EQ(decoded, data);
+  node.stop();
+}
+
 // --- races the sanitizers watch ----------------------------------------------
+
+// An unpaced node scrubber walks an undamaged store while one client
+// rewrites stripes 0-2 with alternating versions and another reads stripe
+// 0. The scrubber holds each stripe shared from its reads to its retirement
+// and verifies against the live checksums, so it never sees a write half
+// done: nothing corrupt, nothing to repair. Every read is a whole version.
+TEST(ServiceTest, ScrubRacingNodeWritesFindsNothingToRepair) {
+  TempDir dir("scrub_race");
+  Codec codec(kCfg);
+  const std::size_t stripe_data = codec.code().data_symbol_count() * kSymbol;
+  const auto data = encode_store(dir, 6 * stripe_data, 19);
+
+  StorageNode::Options opts{.tenants = 2, .workers = 3, .scrub = true};
+  opts.scrub_options.max_stall = std::chrono::milliseconds(1);
+  StorageNode node(codec, store_dir(dir), opts);
+  node.start();
+
+  std::vector<std::vector<std::uint8_t>> versions(2, std::vector<std::uint8_t>(stripe_data));
+  Rng(20).fill(versions[0]);
+  Rng(21).fill(versions[1]);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (std::size_t round = 0; !stop.load(std::memory_order_relaxed); ++round)
+      for (std::size_t s = 0; s < 3; ++s) {
+        const Response r = node.submit(write_req(0, s, versions[round % 2])).wait();
+        EXPECT_TRUE(r.ok) << r.error;
+      }
+  });
+
+  const std::vector<std::uint8_t> original(data.begin(),
+                                           data.begin() + static_cast<std::ptrdiff_t>(stripe_data));
+  std::vector<std::uint8_t> buf(stripe_data);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int i = 0; i < 40 || (node.stats().scrub.stripes_scanned < 3 * 6 &&
+                             std::chrono::steady_clock::now() < deadline);
+       ++i) {
+    const Response r = node.submit(read_req(1, 0, buf)).wait();
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(buf == original || buf == versions[0] || buf == versions[1])
+        << "torn read at iteration " << i;
+  }
+  stop.store(true);
+  writer.join();
+  node.drain();
+
+  const ScrubReport rep = node.stats().scrub;
+  EXPECT_GE(rep.stripes_scanned, 3u * 6);
+  EXPECT_EQ(rep.sectors_corrupt, 0u);
+  EXPECT_EQ(rep.stripes_unrecoverable, 0u);
+  EXPECT_EQ(rep.sectors_repaired, 0u);
+  node.stop();
+
+  Codec codec2(kCfg);
+  IoPipeline pipeline(codec2, {.symbol_bytes = kSymbol});
+  const auto st = pipeline.decode_file(store_dir(dir), (dir.path / "out.bin").string());
+  EXPECT_TRUE(st.ok) << st.error;
+  EXPECT_EQ(st.degraded_stripes, 0u);
+}
 
 TEST(ServiceTest, ConcurrentReadersAndWriterStayConsistent) {
   TempDir dir("rw_race");
@@ -570,6 +675,16 @@ TEST(ServiceTest, EnvOverridesParseLoudly) {
   EXPECT_EQ(opts.workers, 3u);
   EXPECT_EQ(opts.batch_limit, 4u);
   EXPECT_TRUE(opts.scrub);
+
+  // Digits only: a sign would wrap to 2^64 - 1, and a space is a typo.
+  for (const char* bad : {"-1", " 4"}) {
+    for (const char* knob : {"STAIR_NODE_QUEUE", "STAIR_NODE_WORKERS"}) {
+      const std::string good = std::getenv(knob);
+      ::setenv(knob, bad, 1);
+      EXPECT_THROW(node_options_from_env(), std::runtime_error) << knob << "='" << bad << "'";
+      ::setenv(knob, good.c_str(), 1);
+    }
+  }
 
   ::setenv("STAIR_NODE_TENANTS", "lots", 1);
   EXPECT_THROW(node_options_from_env(), std::runtime_error);

@@ -198,15 +198,18 @@ TEST(StripeEngine, ReadPathsAgreeOnEveryDamageShape) {
       EXPECT_EQ(rep.bytes_written, 0u);
       expect_direct(direct_requests(scrubber.engine()), "scrub");
 
+      // The node opens its devices once, at start(), on an engine of its
+      // own; the read itself opens nothing.
       StorageNode node(codec, dir.store(), {.tenants = 1, .workers = 1});
       node.start();
+      const std::uint64_t node_direct = direct_requests(node.engine());
+      expect_direct(node_direct, "node start");
       std::vector<std::uint8_t> served(data.size());
       Request req;
       req.type = RequestType::kScan;
       req.out = served;
-      const std::uint64_t node_direct = direct_requests(node.engine());
       const Response resp = node.submit(req).wait();
-      expect_direct(direct_requests(node.engine()) - node_direct, "node read");
+      EXPECT_EQ(direct_requests(node.engine()), node_direct) << "the node read opened devices";
       node.stop();
       EXPECT_EQ(resp.ok, !shape.unrecoverable) << resp.error;
       EXPECT_EQ(resp.degraded_stripes, shape.degraded);
