@@ -4,7 +4,8 @@
 //
 //   spawn — the seed's approach: std::threads created and joined on every
 //           call, each replaying a per-call sliced copy of the stripe view;
-//   pool  — the persistent ThreadPool engine: workers parked once, claiming
+//   pool  — one stripe (batch=1) through a Codec session on a private
+//           ThreadPool(t): workers parked once, the stripe cut into
 //           cache-aware byte slices of the shared symbol table.
 //
 // Expected: pool >= spawn at every thread count (the gap is the per-call
@@ -25,6 +26,8 @@
 
 #include "bench_util.h"
 #include "gf/kernel.h"
+#include "stair/codec.h"
+#include "util/thread_pool.h"
 
 using namespace stair;
 using namespace stair::bench;
@@ -104,12 +107,13 @@ int main(int argc, char** argv) {
   table.set_header({"threads", "spawn MB/s", "spawn x", "pool MB/s", "pool x", "pool/spawn"});
   double spawn_base = 0.0, pool_base = 0.0;
   std::vector<Workspace> spawn_ws(std::max<std::size_t>(64, counts.back() + 1));
-  Workspace pool_ws;
   for (std::size_t threads : counts) {
     const double spawn = measure_mbps(
         [&] { encode_spawning(code, plan, stripe.view(), threads, spawn_ws); }, stripe_bytes);
+    ThreadPool workers(threads);
+    Codec codec(code, {.pool = &workers});
     const double pool = measure_mbps(
-        [&] { code.encode_parallel(stripe.view(), threads, method, &pool_ws); }, stripe_bytes);
+        [&] { codec.submit_encode(stripe.view(), method).wait(); }, stripe_bytes);
     if (threads == 1) {
       spawn_base = spawn;
       pool_base = pool;

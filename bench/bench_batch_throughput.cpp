@@ -2,28 +2,25 @@
 // through a Codec session — the serving-path regime (millions of users means
 // many stripes concurrently, not one big stripe sliced ever thinner).
 //
-//   batch=1  — the session range-slices the lone stripe across the idle pool,
-//              so it should match the classic pooled encode_parallel call;
+//   batch=1  — the session range-slices the lone stripe across the idle
+//              pool: the library's single-stripe parallel number;
 //   batch>=pool width — one stripe per task, workers never idle between
 //              stripes, no intra-stripe synchronization at all.
 //
 // Sweeps stripes-in-flight for encode and for cached-plan decode (one
-// failure-epoch mask shared by the whole batch), against the single-stripe
-// pooled baseline. Every cell is measured twice, interleaved in time —
-// autotuned decisions vs the fixed heuristics (STAIR_AUTOTUNE=0 behavior,
-// toggled in-process so host drift between separate runs cannot masquerade
-// as a tuner effect) — and both land in BENCH_batch_throughput.json; the CI
-// gate asserts the tuned half keeps up with the fixed constants on every
-// cell. STAIR_BENCH_SMOKE=1 (or --smoke) runs smaller stripes — the CI
+// failure-epoch mask shared by the whole batch). Every cell is measured
+// twice, interleaved in time — autotuned decisions vs the fixed heuristics
+// (STAIR_AUTOTUNE=0 behavior, toggled in-process so host drift between
+// separate runs cannot masquerade as a tuner effect) — and both land in
+// BENCH_batch_throughput.json; the CI gate asserts the tuned half keeps up
+// with the fixed constants on every cell. STAIR_BENCH_SMOKE=1 (or --smoke) runs smaller stripes — the CI
 // smoke configuration (which also redirects the JSON to the repo root; see
 // bench::json_output_path).
 //
-// Expected shape: batch=1 ≈ pooled baseline (same execution path); MB/s
-// non-decreasing with batch up to the pool width, then flat — on a
-// single-vCPU host all cells are flat by construction.
+// Expected shape: MB/s non-decreasing with batch up to the pool width, then
+// flat — on a single-vCPU host all cells are flat by construction.
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -90,24 +87,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < max_batch; ++i)
     stripes.push_back(make_encoded_stripe(code, symbol, 42 + i));
 
-  // Baseline: the classic single-stripe pooled call (full pool width).
-  Workspace baseline_ws;
-  const double encode_pooled = measure_mbps(
-      [&] { code.encode_parallel(stripes[0].view(), 0, EncodingMethod::kAuto, &baseline_ws); },
-      stripe_bytes);
-
-  // Failure-epoch mask: one whole chunk lost. The decode baseline replays
-  // the compiled plan through the session cache like the batch path does.
+  // Failure-epoch mask: one whole chunk lost, replayed through the session
+  // plan cache by every decode.
   std::vector<bool> mask(cfg.n * cfg.r, false);
   for (std::size_t i = 0; i < cfg.r; ++i) mask[i * cfg.n + 2] = true;
-  const double decode_pooled = measure_mbps(
-      [&] {
-        code.decode_parallel(stripes[0].view(), mask, 0, &baseline_ws, &codec.plan_cache());
-      },
-      stripe_bytes);
-
-  std::printf("single-stripe pooled baseline: encode %.0f MB/s, decode %.0f MB/s\n\n",
-              encode_pooled, decode_pooled);
 
   std::vector<Cell> cells;
   TablePrinter table("aggregate throughput (MB/s) vs stripes in flight, tuned/untuned");
@@ -173,9 +156,7 @@ int main(int argc, char** argv) {
         << "  \"autotune\": " << (autotune_default ? "true" : "false") << ",\n"
         << "  \"hardware_threads\": " << env.hardware_threads << ",\n"
         << "  \"pool_width\": " << env.pool_width() << ",\n"
-        << "  \"stripe_bytes\": " << stripe_bytes << ",\n"
-        << "  \"encode_pooled_single_mbps\": " << encode_pooled << ",\n"
-        << "  \"decode_pooled_single_mbps\": " << decode_pooled << ",\n  \"cells\": [\n";
+        << "  \"stripe_bytes\": " << stripe_bytes << ",\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
       out << "    {\"op\": \"" << c.op << "\", \"batch\": " << c.batch
@@ -187,10 +168,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nWrote " << cells.size() << " cells to " << path << "\n";
 
-  std::cout << "Shape check: batch=1 >= the single-stripe pooled baseline (same\n"
-               "execution path, submit overhead in the noise); MB/s non-decreasing\n"
-               "with batch up to the pool width (flat on a single-vCPU host);\n"
-               "tuned/fixed ~ 1.0x or better on every cell (the tuner's decisions\n"
-               "never regress the fixed heuristics).\n";
+  std::cout << "Shape check: MB/s non-decreasing with batch up to the pool width\n"
+               "(flat on a single-vCPU host); tuned/fixed ~ 1.0x or better on every\n"
+               "cell (the tuner's decisions never regress the fixed heuristics).\n";
   return 0;
 }

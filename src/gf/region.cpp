@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "gf/kernel.h"
@@ -148,15 +147,6 @@ void set_region_cache_budget(std::size_t bytes) {
 }
 
 std::size_t region_cache_budget() {
-  // Environment pin wins (read once, like every other STAIR_* override).
-  static const std::size_t env_budget = [] {
-    if (const char* env = std::getenv("STAIR_STRIP_BYTES")) {
-      const long v = std::atol(env);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{0};
-  }();
-  if (env_budget) return env_budget;
   if (const std::size_t installed = g_installed_budget.load(std::memory_order_relaxed))
     return installed;
   // Half the detected L2 leaves room for split tables, stacks and the
@@ -183,10 +173,6 @@ std::size_t cache_aware_slice_bytes(std::size_t region_bytes, std::size_t partic
   if (slice > cache_cap) slice = cache_cap;
   slice &= ~std::size_t{63};
   if (slice < 64) slice = 64;
-  // Dispatch-overhead floor — don't shred big regions into tiny slices —
-  // capped by cache_cap so the budget guarantee above is never violated.
-  const std::size_t floor_bytes = std::min<std::size_t>(4096, cache_cap);
-  if (slice < floor_bytes && region_bytes > participants * floor_bytes) slice = floor_bytes;
   return slice < region_bytes ? slice : region_bytes;
 }
 

@@ -44,7 +44,7 @@ namespace stair::gf {
 /// How a region's symbol bytes are arranged (see the header comment).
 /// Conversion granularity is the 64-byte block, so any 64-byte-granular
 /// range of a region converts independently — layout commutes with the
-/// byte-range slicing the parallel engine uses.
+/// byte-range slicing the Codec uses.
 enum class RegionLayout : std::uint8_t { kStandard = 0, kAltmap = 1 };
 
 /// "standard" / "altmap".
@@ -108,26 +108,29 @@ bool has_simd(int w);
 ///  * there are at least ~2 slices per participant (load balance without a
 ///    work-stealing scheduler), and
 ///  * one slice of every one of the `touched_regions` regions a replay
-///    references fits an L2-sized budget together (STAIR_STRIP_BYTES
-///    overrides; same budget compiled-schedule strip-mining uses), so a
-///    slice's working set stays cache-resident instead of streaming the
-///    whole stripe through L3 per thread.
-/// Returns a multiple of 64 in [64, region_bytes] (region_bytes if smaller).
+///    references fits region_cache_budget() together (the budget
+///    compiled-schedule strip-mining uses), so a slice's working set stays
+///    cache-resident instead of streaming the whole stripe through L3 per
+///    thread.
+/// It knows nothing about dispatch cost: the Codec floors the result at the
+/// tuner's per-job minimum (stair/autotune.h), the one place that decides
+/// how small a slice may get. Returns a multiple of 64 in [64, region_bytes]
+/// (region_bytes if smaller).
 std::size_t cache_aware_slice_bytes(std::size_t region_bytes, std::size_t participants,
                                     std::size_t touched_regions);
 
 /// The cache budget behind cache_aware_slice_bytes and compiled-schedule
 /// strip-mining: the combined footprint allowed for one strip of every
-/// referenced region. Resolution order: the STAIR_STRIP_BYTES environment
-/// variable (read once) > a budget installed via set_region_cache_budget()
-/// (the autotuner's measured value) > half the detected per-core L2
-/// (sysfs/CPUID), falling back to half of 1.5 MiB when detection fails —
-/// half so split tables and bookkeeping fit alongside the strips.
+/// referenced region. Resolution order: a budget installed via
+/// set_region_cache_budget() (the autotuner's measured value) > half the
+/// detected per-core L2 (sysfs/CPUID), falling back to half of 1.5 MiB when
+/// detection fails — half so split tables and bookkeeping fit alongside the
+/// strips.
 std::size_t region_cache_budget();
 
 /// Installs a measured cache budget (bytes; 0 reverts to the detected
-/// default). The environment override still wins. This is the hook the
-/// stair-layer autotuner drives — gf/ stays independent of it.
+/// default). This is the hook the stair-layer autotuner drives — gf/ stays
+/// independent of it.
 void set_region_cache_budget(std::size_t bytes);
 
 /// Per-core L2 data-cache size detected from sysfs (Linux) or CPUID

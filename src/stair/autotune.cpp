@@ -54,8 +54,6 @@ double measure_mbps(std::size_t bytes, Fn&& fn) {
   return static_cast<double>(bytes) * iters / elapsed / kBytesPerMb;
 }
 
-int widx_of(int w) { return w == 4 ? 0 : w == 8 ? 1 : w == 16 ? 2 : 3; }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -375,7 +373,6 @@ double probe_convert(int w, std::uint8_t* data, std::size_t bytes) {
 double probe_dispatch_overhead_ns() {
   ThreadPool& pool = ThreadPool::default_pool();
   constexpr int kTasks = 256;
-  // Warm the queue paths once.
   std::atomic<int> remaining{kTasks};
   const auto run = [&] {
     remaining.store(kTasks, std::memory_order_relaxed);
@@ -385,12 +382,18 @@ double probe_dispatch_overhead_ns() {
       if (!pool.try_run_one()) std::this_thread::yield();
     }
   };
-  run();
-  Stopwatch sw;
-  run();
-  run();
-  const double seconds = sw.elapsed_seconds();
-  return seconds / (2.0 * kTasks) * 1e9;
+  run();  // warm the queue paths once
+  // Median over repeats: one pass swings both ways — low when the caller
+  // drains the queue before a worker wakes, high when a descheduled worker
+  // holds up the tail — by well over 10x on a shared host.
+  double ns[7];
+  for (double& sample : ns) {
+    Stopwatch sw;
+    run();
+    sample = sw.elapsed_seconds() / kTasks * 1e9;
+  }
+  std::nth_element(ns, ns + 3, ns + 7);
+  return ns[3];
 }
 
 // Streaming-size sweep: throughput of the active backend's w = 8 Mult_XOR
@@ -615,26 +618,32 @@ gf::RegionLayout Autotune::choose_layout(int w, double mult_xors_per_region,
   return cost_alt < cost_std ? gf::RegionLayout::kAltmap : gf::RegionLayout::kStandard;
 }
 
-std::size_t Autotune::min_slice_bytes(int w, gf::RegionLayout layout) {
-  constexpr std::size_t kFallback = 4096;
-  if (!enabled()) return kFallback;
+std::size_t Autotune::min_slice_bytes(int w, gf::RegionLayout layout, std::size_t mult_xors) {
+  constexpr std::size_t kFixedFloor = 4096;
+  if (!enabled()) return kFixedFloor;
   ensure();
   const gf::Backend bk = gf::active_backend();
   double mbps, overhead_ns;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!profile_.measured) return kFallback;
+    if (!profile_.measured) return kFixedFloor;
     mbps = profile_.mult_xor_mbps(bk, layout, w, 0);
     overhead_ns = profile_.dispatch_overhead_ns;
   }
-  if (mbps <= 0.0 || overhead_ns <= 0.0) return kFallback;
+  if (mbps <= 0.0 || overhead_ns <= 0.0) return kFixedFloor;
   // A slice is worth dispatching when its compute time is a healthy
-  // multiple of the submit round trip. bytes = alpha * overhead * rate;
-  // MB/s => bytes/ns = mbps / 1000.
+  // multiple of the submit round trip. A slice of b bytes replays the whole
+  // job — `mult_xors` region passes of b bytes each — so
+  // b = alpha * overhead * rate / mult_xors; MB/s => bytes/ns = mbps / 1000.
   constexpr double kAlpha = 8.0;
-  const double bytes = kAlpha * overhead_ns * (mbps / 1000.0);
+  const double bytes = kAlpha * overhead_ns * (mbps / 1000.0) /
+                       static_cast<double>(std::max<std::size_t>(1, mult_xors));
+  // The measurement can raise the fixed floor, never undercut it: the
+  // probe times a warm queue, but a slice wakes a parked worker, which
+  // costs far more, and every pass of the plan pays a per-call overhead a
+  // sub-4 KiB slice cannot hide.
   const std::size_t rounded =
-      std::clamp<std::size_t>(static_cast<std::size_t>(bytes), 1024, 256 * 1024);
+      std::clamp<std::size_t>(static_cast<std::size_t>(bytes), kFixedFloor, 256 * 1024);
   return (rounded + 63) & ~std::size_t{63};
 }
 

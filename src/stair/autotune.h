@@ -10,9 +10,9 @@
 //  * the region cache budget behind gf::cache_aware_slice_bytes and
 //    compiled-schedule strip-mining (installed via
 //    gf::set_region_cache_budget from a measured streaming-size sweep),
-//  * the Codec's batch-vs-slice crossover — a stripe is only worth
-//    range-slicing when one slice's measured compute time clears the
-//    measured pool dispatch overhead by a comfortable factor,
+//  * the Codec's slice floor — a stripe is only cut into range slices
+//    whose measured compute time (the job's every Mult_XOR over the slice)
+//    clears the measured pool dispatch overhead by a comfortable factor,
 //  * per-code RegionLayout selection — altmap only when the measured
 //    altmap-vs-standard throughput gap beats the boundary conversion cost
 //    at the stripe's actual region size (small stripes often lose).
@@ -24,7 +24,7 @@
 // Environment:
 //   STAIR_AUTOTUNE=0   disable: all decisions fall back to the fixed
 //                      heuristics (gf::preferred_layout, 4096-byte slice
-//                      floor, detected-L2 cache budget).
+//                      floor whatever the job, detected-L2 cache budget).
 //   STAIR_TUNE_FILE    path for the serialized profile (default
 //                      ~/.cache/stair_tune.json). Loaded when the stored
 //                      fingerprint (CPU brand + compiled/supported backend
@@ -113,10 +113,14 @@ class Autotune {
   gf::RegionLayout choose_layout(int w, double mult_xors_per_region,
                                  std::size_t region_bytes);
 
-  /// Minimum stripe bytes worth range-slicing at (w, layout): the size
-  /// whose per-slice compute time clears the measured dispatch overhead.
-  /// Falls back to the fixed 4096 when disabled or unmeasured.
-  std::size_t min_slice_bytes(int w, gf::RegionLayout layout);
+  /// The smallest range slice worth dispatching for a job of `mult_xors`
+  /// region passes at (w, layout): the slice size whose compute time (every
+  /// pass over the slice's bytes) clears the measured dispatch overhead by
+  /// the factor 8, clamped to [4 KiB, 256 KiB] — the measurement can only
+  /// raise the fixed 4096 floor. The default of one pass is the size for a
+  /// single Mult_XOR. Falls back to the fixed 4096 when disabled or
+  /// unmeasured. This is the one slice floor the Codec cuts by.
+  std::size_t min_slice_bytes(int w, gf::RegionLayout layout, std::size_t mult_xors = 1);
 
   // --- test hooks -----------------------------------------------------------
 

@@ -140,32 +140,37 @@ const UpdateEngine& Codec::update_engine() const {
 }
 
 std::size_t Codec::decide_subtasks(std::size_t symbol_size, std::size_t touched,
-                                   gf::RegionLayout layout, std::size_t* slice_bytes) const {
+                                   std::size_t mult_xors, gf::RegionLayout layout,
+                                   std::size_t* slice_bytes) const {
   *slice_bytes = 0;
   // Width counts the workers plus one waiting caller: Handle::wait/wait_all
-  // help drain the queue (try_run_one), so the submit pipeline runs on the
-  // same participant set as parallel_for.
+  // help drain the queue (try_run_one).
   const std::size_t width = pool_->concurrency();
   if (width <= 1) return 1;
-  // The batch-vs-slice crossover: 0 delegates to the measured tuner (a
-  // slice must out-compute the pool's submit overhead), a nonzero option
-  // pins the classic fixed threshold.
-  const std::size_t min_slice =
-      options_.min_slice_bytes
-          ? options_.min_slice_bytes
-          : Autotune::instance().min_slice_bytes(code_->field().w(), layout);
-  if (symbol_size < min_slice) return 1;
   // Range-slice only when the batch is too small to fill the pool: claimed
   // lanes run whole stripes; idle lanes are filled with slices of this one.
   const std::size_t busy = subtasks_in_flight_.load(std::memory_order_relaxed);
   if (busy + 1 >= width) return 1;
+  // The slice floor: 0 delegates to the measured tuner (a slice replaying
+  // the whole job must out-compute the pool's submit overhead), a nonzero
+  // option pins it.
+  const std::size_t min_slice =
+      options_.min_slice_bytes
+          ? options_.min_slice_bytes
+          : Autotune::instance().min_slice_bytes(code_->field().w(), layout, mult_xors);
+  const std::size_t floor_count = symbol_size / min_slice;  // slices >= floor
+  if (floor_count <= 1) return 1;
+  // As many slices as load balance and the cache fit ask for, but no more
+  // than floor_count, and in whole rounds over the idle lanes: a partial
+  // last round leaves lanes idle while the job's tail runs. Then cut
+  // evenly, on the 64-byte granularity every layout and width requires.
   const std::size_t idle = width - busy;
-  std::size_t slice = gf::cache_aware_slice_bytes(symbol_size, idle, touched);
-  // Dispatch-overhead floor at the measured (or pinned) threshold: slices
-  // below it spend more time in the queue than in the kernels. Keep the
-  // 64-byte granularity every layout/width requires.
-  if (slice < min_slice) slice = (min_slice + 63) & ~std::size_t{63};
-  const std::size_t subtasks = (symbol_size + slice - 1) / slice;
+  const std::size_t cache_slice = gf::cache_aware_slice_bytes(symbol_size, idle, touched);
+  std::size_t subtasks = std::min((symbol_size + cache_slice - 1) / cache_slice, floor_count);
+  if (subtasks > idle) subtasks -= subtasks % idle;
+  if (subtasks <= 1) return 1;
+  const std::size_t slice = ((symbol_size + subtasks - 1) / subtasks + 63) & ~std::size_t{63};
+  subtasks = (symbol_size + slice - 1) / slice;
   if (subtasks <= 1) return 1;
   *slice_bytes = slice;
   return subtasks;
@@ -239,8 +244,8 @@ Codec::Handle Codec::submit_encode(const StripeView& stripe, EncodingMethod meth
   code_->prepare_workspace(stripe, *job->ws);  // validates the view; throws here
 
   std::size_t slice = 0;
-  const std::size_t subtasks =
-      decide_subtasks(stripe.symbol_size, plan.touched_symbols(), job->layout, &slice);
+  const std::size_t subtasks = decide_subtasks(stripe.symbol_size, plan.touched_symbols(),
+                                               plan.mult_xor_count(), job->layout, &slice);
   job->slice_bytes = slice;
   return launch(job, subtasks);
 }
@@ -277,7 +282,8 @@ Codec::Handle Codec::submit_decode(const StripeView& stripe, const std::vector<b
 
   std::size_t slice = 0;
   const std::size_t subtasks =
-      decide_subtasks(stripe.symbol_size, job->plan->touched_symbols(), job->layout, &slice);
+      decide_subtasks(stripe.symbol_size, job->plan->touched_symbols(),
+                      job->plan->mult_xor_count(), job->layout, &slice);
   job->slice_bytes = slice;
   return launch(job, subtasks);
 }
@@ -310,8 +316,9 @@ Codec::Handle Codec::submit_update(const StripeView& stripe, std::size_t data_in
 
   std::size_t slice = 0;
   // Updates run the standard-layout patch kernels (update_engine.cpp).
-  const std::size_t subtasks = decide_subtasks(
-      stripe.symbol_size, engine.touched_regions(data_index), gf::RegionLayout::kStandard, &slice);
+  const std::size_t subtasks =
+      decide_subtasks(stripe.symbol_size, engine.touched_regions(data_index),
+                      engine.update_cost(data_index), gf::RegionLayout::kStandard, &slice);
   job->slice_bytes = slice;
   return launch(job, subtasks);
 }
@@ -319,8 +326,7 @@ Codec::Handle Codec::submit_update(const StripeView& stripe, std::size_t data_in
 void Codec::wait_all() {
   // A waiting caller is an idle core: help drain the pool queue (our own
   // subtasks are in it) before parking. This is what keeps batch submits at
-  // the pool's full concurrency — workers plus the waiting caller — exactly
-  // like parallel_for's caller participation.
+  // the pool's full concurrency — workers plus the waiting caller.
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(jobs_mu_);

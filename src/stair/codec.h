@@ -19,10 +19,13 @@
 // rethrows) for that stripe only, wait_all() drains the session. When a
 // submission arrives while the pool has idle lanes — a batch too small to
 // fill the machine — the stripe is internally range-sliced across the idle
-// width, so batch=1 behaves like the classic pooled `*_parallel` call and a
-// deep batch runs stripe-per-task: the same execution path, saturating in
-// both regimes. Underneath, everything funnels into the ExecPolicy-unified
-// StairCode/UpdateEngine layer; Codec adds no coding logic of its own.
+// width, and a deep batch runs stripe-per-task: the same execution path,
+// saturating in both regimes. This is the library's only intra-stripe
+// parallelism (§6.2.1): StairCode and UpdateEngine run on the calling
+// thread, and the Codec replays their compiled plans and per-range update
+// bodies, adding no coding logic of its own. Slices average at least the
+// floor Autotune::min_slice_bytes sets for the job's Mult_XOR count, so
+// small stripes and cheap plans run as one task.
 //
 // Usage sketch:
 //   Codec codec({.n = 8, .r = 16, .m = 2, .e = {1, 2}});
@@ -63,12 +66,13 @@ class Codec {
     std::size_t plan_cache_capacity = 64;
     /// Pool to run on; nullptr = the process-wide ThreadPool::default_pool().
     ThreadPool* pool = nullptr;
-    /// Symbols below this size are never range-sliced (slicing overhead
-    /// dominates); they run as one task. 0 (the default) delegates the
-    /// threshold to the measured autotuner (stair/autotune.h) — per-slice
-    /// compute time must clear the measured pool dispatch overhead — with
-    /// the classic 4096 as the fallback when tuning is off or unmeasured.
-    /// A nonzero value pins the threshold exactly as before.
+    /// Range slices average at least this size (slicing overhead would
+    /// dominate), so symbols under twice this size run as one task. 0 (the
+    /// default) delegates the floor to the measured autotuner
+    /// (stair/autotune.h) — a slice's compute time over the job's whole
+    /// plan must clear the measured pool dispatch overhead — with the
+    /// classic 4096 as the fallback when tuning is off or unmeasured. A
+    /// nonzero value pins the floor.
     std::size_t min_slice_bytes = 0;
   };
 
@@ -160,7 +164,8 @@ class Codec {
 
  private:
   std::size_t decide_subtasks(std::size_t symbol_size, std::size_t touched,
-                              gf::RegionLayout layout, std::size_t* slice_bytes) const;
+                              std::size_t mult_xors, gf::RegionLayout layout,
+                              std::size_t* slice_bytes) const;
   Handle launch(const std::shared_ptr<CodecJob>& job, std::size_t subtasks);
 
   std::unique_ptr<const StairCode> owned_code_;  // cfg constructor only

@@ -23,7 +23,7 @@
 //    layout-invariant, and never escape a replay), and it only touches
 //    regions the plan references, so a sparse decode never pays for the
 //    whole stripe. Conversion commutes with 64-byte-granular range slicing,
-//    so parallel replays convert exactly the range they execute.
+//    so each Codec range slice converts exactly the range it executes.
 //
 // Replay is byte-identical to Schedule::execute on the same symbol table
 // (after conversion, for altmap replays).
@@ -46,7 +46,7 @@ class CompiledSchedule {
   /// Lowers `schedule`. `strip_bytes` pins the replay strip size (rounded to
   /// 64-byte granularity; mainly for tests); 0 derives it from the number of
   /// distinct symbols so one strip of every referenced region fits in L2
-  /// together (STAIR_STRIP_BYTES overrides the cache budget).
+  /// together (gf::region_cache_budget).
   explicit CompiledSchedule(const Schedule& schedule, std::size_t strip_bytes = 0);
 
   bool empty() const { return ops_.empty(); }
@@ -64,7 +64,7 @@ class CompiledSchedule {
   /// Replays only bytes [offset, offset + length) of every region. Region
   /// ops are pointwise (and altmap blocks 64-byte-aligned), so running
   /// disjoint ranges (in any order, on any threads) is byte-identical to one
-  /// full execute(); this is the parallel engine's building block — workers
+  /// full execute(); this is what the Codec's range slices run — subtasks
   /// share one symbol table instead of building per-thread sliced copies.
   /// `offset` must be a multiple of 64 (keeps every slice symbol- and
   /// block-aligned for all w).
@@ -74,7 +74,7 @@ class CompiledSchedule {
 
   /// One byte range of a replay with the boundary-conversion sandwich —
   /// the single implementation of the layout contract every layout-aware
-  /// caller (StairCode's serial/pooled replays, Codec subtasks) goes
+  /// caller (StairCode::execute, Codec subtasks) goes
   /// through: convert the referenced caller-owned regions of the range to
   /// `layout`, execute_range in it, convert them back to standard. With
   /// kStandard this is exactly execute_range. Conversion commutes with the

@@ -12,17 +12,9 @@ std::size_t Schedule::mult_xor_count() const {
 }
 
 void Schedule::execute(std::span<const std::span<std::uint8_t>> symbols) const {
-  execute_range(symbols, 0, ops_.empty() ? 0 : symbols[ops_.front().output].size());
-}
-
-void Schedule::execute_range(std::span<const std::span<std::uint8_t>> symbols,
-                             std::size_t offset, std::size_t length) const {
-  assert(offset % 64 == 0);
-  if (length == 0) return;
   for (const auto& op : ops_) {
     assert(op.output < symbols.size());
-    assert(symbols[op.output].size() >= offset + length);
-    auto dst = symbols[op.output].subspan(offset, length);
+    const std::span<std::uint8_t> dst = symbols[op.output];
     // The first surviving term overwrites dst (copy-mult) instead of the
     // historical zero-fill + XOR, saving one full pass over every output
     // region. Ops with no nonzero term — or a self-referencing one, whose
@@ -39,31 +31,15 @@ void Schedule::execute_range(std::span<const std::span<std::uint8_t>> symbols,
     } else {
       const auto& lead = op.terms[first];
       assert(lead.input < symbols.size());
-      gf::mult_region(*field_, lead.coeff, symbols[lead.input].subspan(offset, length), dst);
+      gf::mult_region(*field_, lead.coeff, symbols[lead.input], dst);
       ++first;
     }
     for (std::size_t t = first; t < op.terms.size(); ++t) {
       const auto& term = op.terms[t];
       assert(term.input < symbols.size());
-      gf::mult_xor_region(*field_, term.coeff, symbols[term.input].subspan(offset, length),
-                          dst);
+      gf::mult_xor_region(*field_, term.coeff, symbols[term.input], dst);
     }
   }
-}
-
-std::size_t Schedule::touched_symbol_count() const {
-  std::vector<bool> seen;
-  auto mark = [&seen](std::uint32_t id) {
-    if (id >= seen.size()) seen.resize(id + 1, false);
-    seen[id] = true;
-  };
-  for (const auto& op : ops_) {
-    mark(op.output);
-    for (const auto& t : op.terms) mark(t.input);
-  }
-  std::size_t count = 0;
-  for (bool b : seen) count += b;
-  return count;
 }
 
 Schedule Schedule::pruned_for(const std::vector<std::uint32_t>& wanted_outputs) const {

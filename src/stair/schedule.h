@@ -50,16 +50,6 @@ class Schedule {
   /// the CompiledSchedule (identical bytes, cached kernels, cache-blocked).
   void execute(std::span<const std::span<std::uint8_t>> symbols) const;
 
-  /// Replays only bytes [offset, offset + length) of every region — the
-  /// uncompiled counterpart of CompiledSchedule::execute_range, byte-
-  /// identical to a full execute() over the union of disjoint ranges.
-  /// `offset` must be 64-byte-granular so slices stay symbol-aligned.
-  void execute_range(std::span<const std::span<std::uint8_t>> symbols,
-                     std::size_t offset, std::size_t length) const;
-
-  /// Distinct symbol ids referenced by any op (outputs and inputs).
-  std::size_t touched_symbol_count() const;
-
   /// Lowers this schedule for fast repeated replay (see
   /// stair/compiled_schedule.h). `strip_bytes` = 0 picks the strip size
   /// automatically.

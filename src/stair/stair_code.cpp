@@ -4,14 +4,12 @@
 #include <atomic>
 #include <cstring>
 #include <stdexcept>
-#include <type_traits>
 
 #include "gf/region.h"
 
 #include "stair/autotune.h"
 #include "stair/builders.h"
 #include "stair/plan_cache.h"
-#include "util/thread_pool.h"
 
 namespace stair {
 
@@ -139,96 +137,33 @@ void StairCode::prepare_workspace(const StripeView& stripe, Workspace& ws) const
   }
 }
 
-namespace {
-
-// One byte range of a replay: compiled schedules go through the
-// boundary-conversion sandwich (CompiledSchedule::execute_range_converted —
-// each stripe byte converts exactly once per call, at the replay boundary,
-// never inside the strip-mined loop); the uncompiled Schedule is the
-// standard-layout reference path and never converts.
-template <typename Sched>
-void replay_range(const Sched& schedule, const std::vector<std::span<std::uint8_t>>& symbols,
-                  const std::vector<bool>& caller_owned, gf::RegionLayout layout,
-                  std::size_t offset, std::size_t length) {
-  if constexpr (std::is_same_v<Sched, CompiledSchedule>) {
-    schedule.execute_range_converted(symbols, caller_owned, layout, offset, length);
-  } else {
-    (void)caller_owned;
-    (void)layout;
-    schedule.execute_range(symbols, offset, length);
-  }
+void StairCode::execute(const Schedule& schedule, const StripeView& stripe,
+                        Workspace* ws) const {
+  Workspace local;
+  Workspace& w = ws ? *ws : local;
+  prepare_workspace(stripe, w);
+  schedule.execute(w.symbols_);  // the standard-layout reference path
 }
 
-// Shared slicing loop for the parallel replays: region ops are pointwise, so
-// running the full schedule on disjoint byte ranges is exact. Ranges are
-// claimed from the persistent pool (no per-call thread spawns) and sized by
-// gf::cache_aware_slice_bytes so one slice of every referenced region stays
-// cache-resident; workers replay directly against the shared symbol table
-// via execute_range — no per-thread sliced span vectors.
-template <typename Sched>
-void replay_pooled(const Sched& schedule, const std::vector<std::span<std::uint8_t>>& symbols,
-                   const std::vector<bool>& caller_owned, gf::RegionLayout layout,
-                   std::size_t size, std::size_t threads, std::size_t touched) {
-  ThreadPool& pool = ThreadPool::default_pool();
-  if (threads == 0) threads = pool.concurrency();
-  const std::size_t participants = std::min(threads, pool.concurrency());
-  if (participants <= 1 || size < 128) {
-    replay_range(schedule, symbols, caller_owned, layout, 0, size);
-    return;
-  }
-  const std::size_t slice = gf::cache_aware_slice_bytes(size, participants, touched);
-  const std::size_t slices = (size + slice - 1) / slice;
-  pool.parallel_for(
-      slices,
-      [&](std::size_t i) {
-        const std::size_t offset = i * slice;
-        replay_range(schedule, symbols, caller_owned, layout, offset,
-                     std::min(slice, size - offset));
-      },
-      participants);
-}
-
-}  // namespace
-
-template <typename Sched>
-void StairCode::run_schedule(const Sched& schedule, const StripeView& stripe, Workspace* ws,
-                             ExecPolicy policy, std::size_t touched) const {
+void StairCode::execute(const CompiledSchedule& schedule, const StripeView& stripe,
+                        Workspace* ws) const {
   Workspace local;
   Workspace& w = ws ? *ws : local;
   prepare_workspace(stripe, w);
   // The compiled hot path replays in the measured best layout for this code
   // and stripe size (falling back to the backend's preferred layout when
-  // the tuner is off); the uncompiled Schedule overload stays standard
-  // (reference path).
-  gf::RegionLayout layout = gf::RegionLayout::kStandard;
-  if constexpr (std::is_same_v<Sched, CompiledSchedule>)
-    layout = Autotune::instance().choose_layout(
-        field().w(),
-        static_cast<double>(schedule.mult_xor_count()) /
-            std::max<std::size_t>(1, schedule.touched_symbols()),
-        stripe.symbol_size);
-  if (policy.mode == ExecPolicy::Mode::kSerial) {
-    replay_range(schedule, w.symbols_, w.caller_owned_, layout, 0, stripe.symbol_size);
-    return;
-  }
-  replay_pooled(schedule, w.symbols_, w.caller_owned_, layout, stripe.symbol_size,
-                policy.threads, touched);
+  // the tuner is off), converting the caller's regions at the boundaries.
+  const gf::RegionLayout layout = Autotune::instance().choose_layout(
+      field().w(),
+      static_cast<double>(schedule.mult_xor_count()) /
+          std::max<std::size_t>(1, schedule.touched_symbols()),
+      stripe.symbol_size);
+  schedule.execute_range_converted(w.symbols_, w.caller_owned_, layout, 0, stripe.symbol_size);
 }
 
-void StairCode::execute(const Schedule& schedule, const StripeView& stripe, Workspace* ws,
-                        ExecPolicy policy) const {
-  run_schedule(schedule, stripe, ws, policy, schedule.touched_symbol_count());
-}
-
-void StairCode::execute(const CompiledSchedule& schedule, const StripeView& stripe,
-                        Workspace* ws, ExecPolicy policy) const {
-  run_schedule(schedule, stripe, ws, policy, schedule.touched_symbols());
-}
-
-void StairCode::encode(const StripeView& stripe, EncodingMethod method, Workspace* ws,
-                       ExecPolicy policy) const {
+void StairCode::encode(const StripeView& stripe, EncodingMethod method, Workspace* ws) const {
   if (method == EncodingMethod::kAuto) method = select_method();
-  execute(compiled_encoding_schedule(method), stripe, ws, policy);
+  execute(compiled_encoding_schedule(method), stripe, ws);
 }
 
 bool StairCode::is_recoverable(const std::vector<bool>& erased) const {
@@ -240,20 +175,20 @@ std::optional<Schedule> StairCode::build_decode_schedule(const std::vector<bool>
 }
 
 bool StairCode::decode(const StripeView& stripe, const std::vector<bool>& erased,
-                       Workspace* ws, DecodePlanCache* cache, ExecPolicy policy) const {
+                       Workspace* ws, DecodePlanCache* cache) const {
   if (cache) {
     // Failure-epoch fast path: the cache hands back a fully compiled plan,
     // so a recurring mask pays zero inversions and zero table builds.
     auto plan = cache->plan(erased);
     if (!plan) return false;
-    execute(*plan, stripe, ws, policy);
+    execute(*plan, stripe, ws);
     return true;
   }
   auto schedule = build_decode_schedule(erased);
   if (!schedule) return false;
   // Compiling resolves coefficients against the shared kernel cache, so for
   // the recurring masks of a failure epoch the tables are already built.
-  execute(CompiledSchedule(*schedule), stripe, ws, policy);
+  execute(CompiledSchedule(*schedule), stripe, ws);
   return true;
 }
 

@@ -39,26 +39,6 @@ class StairCode;
 /// fewest Mult_XORs for this configuration, as the paper's implementation does.
 enum class EncodingMethod { kStandard, kUpstairs, kDownstairs, kAuto };
 
-/// How an operation's region work is executed — the one knob the unified
-/// execution layer takes. Every encode/decode/execute/update entry point is
-/// one implementation parameterized by this; the `*_parallel` names are thin
-/// wrappers that pass sliced(threads).
-///
-///   serial()   — all region work on the calling thread (the default);
-///   sliced(t)  — region work cut into cache-aware byte slices claimed by up
-///                to t participants of the persistent pool (caller included);
-///   pooled()   — sliced across the pool's full width.
-struct ExecPolicy {
-  enum class Mode : std::uint8_t { kSerial, kSliced };
-
-  Mode mode = Mode::kSerial;
-  std::size_t threads = 1;  // kSliced: max pool participants; 0 = pool width
-
-  static constexpr ExecPolicy serial() { return {Mode::kSerial, 1}; }
-  static constexpr ExecPolicy sliced(std::size_t threads) { return {Mode::kSliced, threads}; }
-  static constexpr ExecPolicy pooled() { return {Mode::kSliced, 0}; }
-};
-
 /// Non-owning view of one stripe's symbol regions.
 ///
 /// `stored[row * n + col]` is the symbol at stripe position (row, col); all
@@ -145,18 +125,11 @@ class StairCode {
   /// kUpstairs/kDownstairs these equal Eqs. 5/6 exactly (tested).
   std::size_t mult_xor_count(EncodingMethod method) const;
 
-  /// Computes all parity regions of the stripe from its data regions.
-  /// `policy` selects the execution path (serial by default; see ExecPolicy).
+  /// Computes all parity regions of the stripe from its data regions, on
+  /// the calling thread. Spreading one stripe over cores is the Codec's job
+  /// (stair/codec.h).
   void encode(const StripeView& stripe, EncodingMethod method = EncodingMethod::kAuto,
-              Workspace* ws = nullptr, ExecPolicy policy = ExecPolicy::serial()) const;
-
-  /// encode() on up to `threads` pool participants (0 = pool width). Thin
-  /// wrapper over encode() with ExecPolicy::sliced.
-  void encode_parallel(const StripeView& stripe, std::size_t threads,
-                       EncodingMethod method = EncodingMethod::kAuto,
-                       Workspace* ws = nullptr) const {
-    encode(stripe, method, ws, ExecPolicy::sliced(threads));
-  }
+              Workspace* ws = nullptr) const;
 
   // --- decoding -------------------------------------------------------------
 
@@ -174,19 +147,9 @@ class StairCode {
   /// if the pattern is outside the coverage. With a `cache`, the compiled
   /// plan for the mask is fetched from (or built into) it, so every decode
   /// after the first with a given mask skips both matrix inversion and
-  /// kernel-table resolution — the failure-epoch replay path. `policy`
-  /// selects the execution path for the region work.
+  /// kernel-table resolution — the failure-epoch replay path.
   bool decode(const StripeView& stripe, const std::vector<bool>& erased,
-              Workspace* ws = nullptr, DecodePlanCache* cache = nullptr,
-              ExecPolicy policy = ExecPolicy::serial()) const;
-
-  /// decode() with the region work spread over `threads` pool participants
-  /// (0 = the default pool's full width). Thin wrapper over decode().
-  bool decode_parallel(const StripeView& stripe, const std::vector<bool>& erased,
-                       std::size_t threads, Workspace* ws = nullptr,
-                       DecodePlanCache* cache = nullptr) const {
-    return decode(stripe, erased, ws, cache, ExecPolicy::sliced(threads));
-  }
+              Workspace* ws = nullptr, DecodePlanCache* cache = nullptr) const;
 
   /// Degraded read: the minimal schedule recovering only the stored symbols
   /// listed in `wanted` (stored indices, row * n + col) under the erasure
@@ -205,16 +168,9 @@ class StairCode {
 
   /// Executes `schedule` over this stripe via the uncompiled reference
   /// replay (advanced: one-shot plans, equivalence tests). Repeated replays
-  /// should compile() once and use the CompiledSchedule overload. With a
-  /// sliced policy, region operations — which are pointwise — are cut into
-  /// cache-aware byte slices claimed by up to policy.threads participants of
-  /// the persistent process pool (util/thread_pool.h): §6.2.1's "encoding
-  /// can be parallelized with modern multi-core CPUs" without per-call
-  /// thread spawns. Byte-identical across policies, and `ws` is reused
-  /// identically (workers share the one symbol table; nothing is re-sliced
-  /// per call).
+  /// should compile() once and use the CompiledSchedule overload.
   void execute(const Schedule& schedule, const StripeView& stripe,
-               Workspace* ws = nullptr, ExecPolicy policy = ExecPolicy::serial()) const;
+               Workspace* ws = nullptr) const;
 
   /// Executes a pre-compiled schedule over this stripe — the hot path all
   /// encode/decode calls use. Byte-identical to the Schedule overload.
@@ -224,29 +180,13 @@ class StairCode {
   /// at the call boundaries; caller buffers are always standard-layout
   /// outside a call, and the workspace scratch stays altmap forever.
   void execute(const CompiledSchedule& schedule, const StripeView& stripe,
-               Workspace* ws = nullptr, ExecPolicy policy = ExecPolicy::serial()) const;
-
-  /// Thin wrappers over execute() with ExecPolicy::sliced(threads).
-  void execute_parallel(const Schedule& schedule, const StripeView& stripe,
-                        std::size_t threads, Workspace* ws = nullptr) const {
-    execute(schedule, stripe, ws, ExecPolicy::sliced(threads));
-  }
-  void execute_parallel(const CompiledSchedule& schedule, const StripeView& stripe,
-                        std::size_t threads, Workspace* ws = nullptr) const {
-    execute(schedule, stripe, ws, ExecPolicy::sliced(threads));
-  }
+               Workspace* ws = nullptr) const;
 
  private:
-  friend class Codec;  // the session layer drives prepare_workspace +
-                       // execute_range directly for its submit pipeline
+  friend class Codec;  // the session layer drives prepare_workspace + the
+                       // compiled range replay directly for its submit pipeline
 
   void prepare_workspace(const StripeView& stripe, Workspace& ws) const;
-
-  // The one execution engine behind every execute/encode/decode entry point:
-  // prepares the workspace, then replays serially or pool-sliced per policy.
-  template <typename Sched>
-  void run_schedule(const Sched& schedule, const StripeView& stripe, Workspace* ws,
-                    ExecPolicy policy, std::size_t touched) const;
 
   StairLayout layout_;
   SystematicMdsCode crow_, ccol_;

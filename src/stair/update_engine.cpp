@@ -1,12 +1,10 @@
 #include "stair/update_engine.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 #include "gf/region.h"
 #include "util/buffer.h"
-#include "util/thread_pool.h"
 
 namespace stair {
 
@@ -70,39 +68,13 @@ void UpdateEngine::update_range(const StripeView& stripe, std::size_t data_index
 }
 
 void UpdateEngine::update(const StripeView& stripe, std::size_t data_index,
-                          std::span<const std::uint8_t> new_content, ExecPolicy policy) const {
+                          std::span<const std::uint8_t> new_content) const {
   if (data_index >= patches_.size())
     throw std::invalid_argument("UpdateEngine::update: data index out of range");
   if (new_content.size() != stripe.symbol_size)
     throw std::invalid_argument("UpdateEngine::update: wrong symbol size");
-
-  const std::size_t size = stripe.symbol_size;
-  std::size_t participants = 1;
-  ThreadPool& pool = ThreadPool::default_pool();
-  if (policy.mode == ExecPolicy::Mode::kSliced) {
-    const std::size_t threads = policy.threads == 0 ? pool.concurrency() : policy.threads;
-    participants = std::min(threads, pool.concurrency());
-  }
-
-  // One delta buffer either way; slices write disjoint ranges of it.
-  AlignedBuffer delta(size);
-  if (participants <= 1 || size < 128) {
-    update_range(stripe, data_index, new_content, delta.span(), 0, size);
-    return;
-  }
-
-  const std::size_t slice =
-      gf::cache_aware_slice_bytes(size, participants, touched_regions(data_index));
-  const std::size_t slices = (size + slice - 1) / slice;
-  pool.parallel_for(
-      slices,
-      [&](std::size_t i) {
-        const std::size_t off = i * slice;
-        if (off >= size) return;
-        update_range(stripe, data_index, new_content, delta.span(), off,
-                     std::min(slice, size - off));
-      },
-      participants);
+  AlignedBuffer delta(stripe.symbol_size);
+  update_range(stripe, data_index, new_content, delta.span(), 0, stripe.symbol_size);
 }
 
 }  // namespace stair

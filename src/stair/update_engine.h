@@ -30,22 +30,10 @@ class UpdateEngine {
   /// Overwrites data symbol `data_index` (index into layout().data_ids())
   /// with `new_content` and incrementally patches all dependent parities.
   /// The stripe must be consistently encoded beforehand; it is consistently
-  /// encoded afterwards. With a sliced policy the delta computation and
-  /// every parity patch are spread over up to policy.threads pool
-  /// participants (0 = pool width) in cache-aware byte slices — each slice
-  /// computes its delta range and applies all patches while that range is
-  /// cache-resident. Byte-identical across policies; slicing is worthwhile
-  /// for megabyte symbols.
+  /// encoded afterwards. Runs on the calling thread; Codec::submit_update is
+  /// the form that spreads one update over the pool.
   void update(const StripeView& stripe, std::size_t data_index,
-              std::span<const std::uint8_t> new_content,
-              ExecPolicy policy = ExecPolicy::serial()) const;
-
-  /// Thin wrapper over update() with ExecPolicy::sliced(threads).
-  void update_parallel(const StripeView& stripe, std::size_t data_index,
-                       std::span<const std::uint8_t> new_content,
-                       std::size_t threads = 0) const {
-    update(stripe, data_index, new_content, ExecPolicy::sliced(threads));
-  }
+              std::span<const std::uint8_t> new_content) const;
 
   /// The per-range body every update path replays (also the building block
   /// Codec's pipelined submit_update slices over): computes
@@ -71,7 +59,8 @@ class UpdateEngine {
     return patches_[data_index].size();
   }
 
-  /// Mult_XOR count of one update (1 delta + one per parity patch).
+  /// Mult_XOR count of one update (1 delta + one per parity patch) — also
+  /// the job size the Codec's slice floor divides by.
   std::size_t update_cost(std::size_t data_index) const {
     return 1 + patches_[data_index].size();
   }

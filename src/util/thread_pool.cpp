@@ -44,111 +44,47 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
+void ThreadPool::run(std::function<void()>& task) {
+  task();
+  tasks_run_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
-    Entry entry;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to help with
-      entry = std::move(queue_.front());
+      if (queue_.empty()) return;  // stop_ set and nothing left to run
+      task = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (entry.batch) {
-      drain(*entry.batch);
-    } else {
-      entry.task();
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
-    }
+    run(task);
   }
 }
 
 void ThreadPool::submit(std::function<void()> fn) {
   if (workers_.empty()) {
-    fn();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
+    run(fn);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(Entry{nullptr, std::move(fn)});
+    queue_.push_back(std::move(fn));
   }
   cv_.notify_one();
 }
 
 bool ThreadPool::try_run_one() {
-  Entry entry;
+  std::function<void()> task;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return false;
-    entry = std::move(queue_.front());
+    task = std::move(queue_.front());
     queue_.pop_front();
   }
-  if (entry.batch) {
-    drain(*entry.batch);
-  } else {
-    entry.task();
-    tasks_run_.fetch_add(1, std::memory_order_relaxed);
-  }
+  run(task);
   return true;
-}
-
-void ThreadPool::drain(Batch& batch) {
-  std::size_t retired = 0;
-  for (;;) {
-    const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.count) break;
-    // After a failure the batch only retires its remaining indices (so the
-    // caller's wait terminates); it stops running user work.
-    if (!batch.failed.load(std::memory_order_relaxed)) {
-      try {
-        batch.fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(batch.mu);
-        if (!batch.error) batch.error = std::current_exception();
-        batch.failed.store(true, std::memory_order_relaxed);
-      }
-    }
-    ++retired;
-  }
-  if (retired == 0) return;
-  indices_run_.fetch_add(retired, std::memory_order_relaxed);
-  bool last;
-  {
-    std::lock_guard<std::mutex> lock(batch.mu);
-    batch.done += retired;
-    last = batch.done == batch.count;
-  }
-  if (last) batch.cv.notify_all();
-}
-
-void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                              std::size_t max_participants) {
-  if (count == 0) return;
-  std::size_t participants = concurrency();
-  if (max_participants != 0 && max_participants < participants)
-    participants = max_participants;
-  if (participants > count) participants = count;
-
-  auto batch = std::make_shared<Batch>(count, fn);
-  const std::size_t helpers = participants - 1;  // the caller is one participant
-  if (helpers > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t i = 0; i < helpers; ++i) queue_.push_back(Entry{batch, {}});
-    }
-    if (helpers == 1)
-      cv_.notify_one();
-    else
-      cv_.notify_all();
-  }
-
-  drain(*batch);
-
-  std::unique_lock<std::mutex> lock(batch->mu);
-  batch->cv.wait(lock, [&] { return batch->done == batch->count; });
-  batches_run_.fetch_add(1, std::memory_order_relaxed);
-  if (batch->error) std::rethrow_exception(batch->error);
 }
 
 }  // namespace stair

@@ -1,18 +1,13 @@
-// Persistent worker-thread pool — the parallel execution engine.
+// Persistent worker-thread pool — a plain task queue.
 //
-// The seed's execute_parallel spawned std::threads on every call, so a
-// megabyte-stripe encode paid thread creation and teardown (tens of
-// microseconds each) per stripe — the classic per-call setup cost the
-// GF-Complete/Jerasure lineage amortizes away for tables and plans. This
-// pool amortizes it for threads: workers are created once, parked on a
-// condition variable, and reused by every parallel region in the process.
-//
-// The model is deliberately simple (no work stealing, no futures on the hot
-// path): parallel_for(count, fn) runs fn(0..count-1) across the workers AND
-// the calling thread, which claim indices from a shared atomic counter and
-// block until the whole batch has retired. The caller participating means a
-// pool with zero workers (single-core machine, STAIR_THREADS=1) degrades to
-// a plain serial loop with no synchronization beyond one atomic.
+// Workers are created once, parked on a condition variable, and reused by
+// every task in the process, so a stripe job never pays thread creation and
+// teardown (tens of microseconds each). The model is deliberately simple: no
+// work stealing, no futures. submit() enqueues a one-shot task; a thread
+// about to block on a task's completion calls try_run_one() to run queued
+// work itself instead of parking, so `concurrency()` counts the workers plus
+// that one helping caller. The Codec (stair/codec.h) is the one client that
+// splits a stripe into tasks; this layer knows nothing about stripes.
 //
 // Sizing: the process-wide default_pool() is sized from
 // hardware_concurrency(), overridable with STAIR_THREADS=<n> (total
@@ -24,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -33,10 +27,9 @@ namespace stair {
 
 class ThreadPool {
  public:
-  /// `concurrency` = total parallel participants (workers + the caller of
-  /// parallel_for), so a ThreadPool(4) spawns 3 workers. 0 resolves the
-  /// process default: STAIR_THREADS if set and positive, else
-  /// hardware_concurrency().
+  /// `concurrency` = total participants (workers + one helping caller), so a
+  /// ThreadPool(4) spawns 3 workers. 0 resolves the process default:
+  /// STAIR_THREADS if set and positive, else hardware_concurrency().
   explicit ThreadPool(std::size_t concurrency = 0);
   ~ThreadPool();
 
@@ -45,21 +38,12 @@ class ThreadPool {
 
   /// Worker threads owned by the pool (constant for the pool's lifetime).
   std::size_t size() const { return workers_.size(); }
-  /// size() + 1: the caller participates in every parallel_for.
+  /// size() + 1: a waiting caller helps through try_run_one().
   std::size_t concurrency() const { return workers_.size() + 1; }
 
-  /// Runs fn(i) for every i in [0, count), using at most `max_participants`
-  /// threads (capped by concurrency(); 0 = no cap). Blocks until every index
-  /// has retired. If any invocation throws, the first exception is rethrown
-  /// here after the batch drains (remaining indices are skipped, not run).
-  /// Reentrant from worker threads is NOT supported; concurrent calls from
-  /// distinct external threads are.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
-                    std::size_t max_participants = 0);
-
-  /// Enqueues `fn` to run once on a pool worker and returns immediately — the
-  /// fire-and-forget counterpart of parallel_for, and the primitive the Codec
-  /// stripe-batch pipeline builds completion handles on. The caller does NOT
+  /// Enqueues `fn` to run once on a pool worker and returns immediately —
+  /// the primitive the Codec stripe pipeline builds completion handles on.
+  /// The caller does NOT
   /// automatically participate (completion signalling is the submitter's
   /// business); a caller that would otherwise block should spin try_run_one()
   /// to contribute its core, which is how Codec waits keep submit-based
@@ -71,19 +55,15 @@ class ThreadPool {
   /// if it can throw.
   void submit(std::function<void()> fn);
 
-  /// Pops and runs one queued work item (a submit() task or a helper slot of
-  /// a parallel_for batch) on the calling thread. Returns false when nothing
-  /// was queued. This is the caller-participation primitive for code waiting
-  /// on submit()-based completions: an about-to-block thread is an idle
-  /// core, so it helps drain the queue instead of parking.
+  /// Pops and runs one queued submit() task on the calling thread. Returns
+  /// false when nothing was queued. This is the caller-participation
+  /// primitive for code waiting on submit()-based completions: an
+  /// about-to-block thread is an idle core, so it helps drain the queue
+  /// instead of parking.
   bool try_run_one();
 
-  /// Total indices retired by all parallel_for batches (pool-lifetime stat;
-  /// lets tests assert thousands of submits reuse the same workers).
-  std::uint64_t indices_run() const { return indices_run_.load(std::memory_order_relaxed); }
-  /// Total parallel_for batches completed.
-  std::uint64_t batches_run() const { return batches_run_.load(std::memory_order_relaxed); }
-  /// Total submit() tasks that have finished running.
+  /// Total submit() tasks that have finished running (pool-lifetime stat;
+  /// tests count a job's tasks by its delta).
   std::uint64_t tasks_run() const { return tasks_run_.load(std::memory_order_relaxed); }
 
   /// The process-wide shared pool (created on first use, default-sized).
@@ -100,39 +80,14 @@ class ThreadPool {
   static std::size_t resolve_concurrency(const char* env_value, std::size_t hardware);
 
  private:
-  // One parallel_for call. Participants claim indices via `next`; each
-  // accumulates its retired count locally and folds it into `done` under
-  // `mu` when it stops, so the caller's wait sees a consistent total.
-  struct Batch {
-    Batch(std::size_t n, const std::function<void(std::size_t)>& f) : count(n), fn(f) {}
-    const std::size_t count;
-    const std::function<void(std::size_t)>& fn;  // outlives the batch: the
-    // caller blocks in parallel_for until every index retires.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t done = 0;  // guarded by mu
-    std::exception_ptr error;  // guarded by mu; first failure wins
-  };
-
-  // One queue entry: either a helper slot for a parallel_for batch or an
-  // owned one-shot submit() task (exactly one of the two is set).
-  struct Entry {
-    std::shared_ptr<Batch> batch;
-    std::function<void()> task;
-  };
-
   void worker_loop();
-  void drain(Batch& batch);
+  void run(std::function<void()>& task);
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Entry> queue_;
+  std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  std::atomic<std::uint64_t> indices_run_{0};
-  std::atomic<std::uint64_t> batches_run_{0};
   std::atomic<std::uint64_t> tasks_run_{0};
 };
 

@@ -100,10 +100,11 @@ TEST(AutotuneDecisionTest, FallbacksDeferToFixedHeuristics) {
   EXPECT_EQ(tuner.choose_layout(32, 100.0, 65536), gf::preferred_layout(32));
 
   // Disabled -> preferred_layout and the fixed 4096 threshold, even with a
-  // profile installed.
+  // profile installed and whatever the job's size.
   tuner.set_enabled_for_testing(0);
   EXPECT_EQ(tuner.choose_layout(16, 1.0, 65536), gf::preferred_layout(16));
   EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kAltmap), 4096u);
+  EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kAltmap, 224), 4096u);
   tuner.set_enabled_for_testing(1);
 
   // A forced layout always wins over the measured decision.
@@ -120,24 +121,42 @@ TEST(AutotuneDecisionTest, SliceThresholdScalesWithMeasuredRates) {
   tuner.set_enabled_for_testing(1);
   tuner.set_profile_for_testing(fake_profile());
 
-  // bytes = 8 * overhead_ns * (mbps / 1000): faster kernels need bigger
-  // slices to amortize the same dispatch overhead.
+  // bytes = 8 * overhead_ns * (mbps / 1000) / mult_xors: faster kernels
+  // need bigger slices to amortize the same dispatch overhead. The
+  // two-argument form sizes a slice for one Mult_XOR.
   EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kStandard),
             std::size_t{16000});  // 8 * 2000 * 1.0
   EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kAltmap),
             std::size_t{128000});  // 8 * 2000 * 8.0
-  // w=8 standard at 50 GB/s hits the 256 KiB upper clamp.
+  // w=8 standard at 50 GB/s hits the 256 KiB upper clamp for one pass.
   EXPECT_EQ(tuner.min_slice_bytes(8, gf::RegionLayout::kStandard),
             std::size_t{256 * 1024});
-  // Unmeasured (w=32) -> fixed fallback.
-  EXPECT_EQ(tuner.min_slice_bytes(32, gf::RegionLayout::kStandard), 4096u);
 
-  // A glacial kernel hits the lower clamp (and stays 64-byte granular).
+  // A slice replays the whole job, so the floor divides by its Mult_XOR
+  // count before the clamp (rounded up to 64-byte granularity).
+  EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kStandard, 1), std::size_t{16000});
+  EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kStandard, 3),
+            std::size_t{5376});  // 16000 / 3 = 5333
+  EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kAltmap, 8),
+            std::size_t{16000});  // 128000 / 8
+  // 800000 / 4 = 200000: below the upper clamp once the job's passes count.
+  EXPECT_EQ(tuner.min_slice_bytes(8, gf::RegionLayout::kStandard, 4), std::size_t{200000});
+  // The measurement only ever raises the fixed 4096 floor: 16000 / 8 = 2000
+  // and 800000 / 952 = 840 both clamp up to it.
+  EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kStandard, 8), std::size_t{4096});
+  EXPECT_EQ(tuner.min_slice_bytes(8, gf::RegionLayout::kStandard, 952), std::size_t{4096});
+  // 0 passes counts as one.
+  EXPECT_EQ(tuner.min_slice_bytes(16, gf::RegionLayout::kStandard, 0), std::size_t{16000});
+  // Unmeasured (w=32) -> fixed fallback, whatever the job.
+  EXPECT_EQ(tuner.min_slice_bytes(32, gf::RegionLayout::kStandard), 4096u);
+  EXPECT_EQ(tuner.min_slice_bytes(32, gf::RegionLayout::kStandard, 952), 4096u);
+
+  // A glacial kernel hits the lower clamp, the fixed floor.
   TuneProfile slow = fake_profile();
   slow.cells.push_back(
       cell(gf::active_backend(), gf::RegionLayout::kStandard, 32, 65536, 0.001));
   tuner.set_profile_for_testing(slow);
-  EXPECT_EQ(tuner.min_slice_bytes(32, gf::RegionLayout::kStandard), 1024u);
+  EXPECT_EQ(tuner.min_slice_bytes(32, gf::RegionLayout::kStandard), 4096u);
 }
 
 TEST(AutotuneProfileTest, CellLookupPicksClosestSize) {
@@ -242,8 +261,6 @@ TEST(AutotuneProfileTest, SaveProfileSurfacesUnwritablePath) {
 }
 
 TEST(AutotuneCacheBudgetTest, InstalledBudgetDrivesRegionCacheBudget) {
-  if (std::getenv("STAIR_STRIP_BYTES"))
-    GTEST_SKIP() << "STAIR_STRIP_BYTES overrides the installed budget";
   TunerGuard guard;
 
   const std::size_t detected = gf::region_cache_budget();

@@ -1,6 +1,8 @@
 // Codec session-pipeline battery: batch results through submit_encode /
 // submit_decode / submit_update must be byte-identical to serial per-stripe
-// calls across configs x batch sizes x pool widths; plan-cache and
+// calls across configs x batch sizes x pool widths, including ragged final
+// slices and pools with more lanes than a symbol has bytes; the tuned slice
+// floor must spread a lone costly stripe over the pool; plan-cache and
 // workspace-pool amortization must hold across batches; the workspace
 // cross-code reuse hazard must stay fixed. Also runs under the TSan CI job.
 
@@ -9,12 +11,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <thread>
 #include <optional>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "gf/kernel.h"
 #include "gf/region.h"
+#include "stair/autotune.h"
 #include "stair/codec.h"
 #include "stair/stair_code.h"
 #include "stair/update_engine.h"
@@ -75,13 +79,34 @@ struct Batch {
   }
 };
 
+// Tasks `pool` has run, read once every worker sits between tasks: the stat
+// is bumped after a task body returns, so first park each worker on a fence
+// task (fences count only after they are released).
+std::uint64_t quiesced_tasks_run(ThreadPool& pool) {
+  std::atomic<std::size_t> parked{0}, running{pool.size()};
+  std::atomic<bool> release{false};
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    pool.submit([&] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      running.fetch_sub(1);  // the fence's last touch of this frame
+    });
+  while (parked.load() < pool.size()) std::this_thread::yield();
+  const std::uint64_t ran = pool.tasks_run();
+  release.store(true);
+  while (running.load() != 0) std::this_thread::yield();
+  return ran;
+}
+
 TEST(CodecPipeline, EncodeBatchMatchesSerialAcrossMatrix) {
   // min_slice_bytes=256 so mid-size symbols exercise the range-sliced path
-  // (batch smaller than the pool) as well as the stripe-per-task path.
+  // (batch smaller than the pool) as well as the stripe-per-task path; 9999
+  // leaves a ragged final slice.
   for (const auto& c : config_matrix()) {
     const StairCode code(c.cfg, c.mode);
     Codec codec(code, {.min_slice_bytes = 256});
-    for (std::size_t symbol : {std::size_t{72}, std::size_t{1000}, std::size_t{4096 + 64}}) {
+    for (std::size_t symbol :
+         {std::size_t{72}, std::size_t{1000}, std::size_t{4096 + 64}, std::size_t{9999}}) {
       for (std::size_t count : {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{17}}) {
         Batch batch(code, count, symbol, 1000 + symbol + count);
         std::vector<Codec::Handle> handles;
@@ -154,8 +179,10 @@ TEST(CodecPipeline, WideWidthAltmapPipelineMatchesStandardSerial) {
 TEST(CodecPipeline, EncodeBatchMatchesSerialAcrossPoolWidths) {
   const StairConfig cfg{.n = 8, .r = 8, .m = 2, .e = {1, 2}};
   const StairCode code(cfg);
-  const std::size_t symbol = 4096 + 64;
-  for (std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+  // The last pair gives the pool more lanes than a symbol has bytes.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {1, 4096 + 64}, {2, 4096 + 64}, {4, 4096 + 64}, {8, 4096 + 64}, {64, 16}};
+  for (const auto& [width, symbol] : cases) {
     ThreadPool pool(width);
     Codec codec(code, {.pool = &pool, .min_slice_bytes = 256});
     Batch batch(code, 6, symbol, 77 + width);
@@ -165,9 +192,41 @@ TEST(CodecPipeline, EncodeBatchMatchesSerialAcrossPoolWidths) {
     for (std::size_t i = 0; i < batch.stripes.size(); ++i) {
       EXPECT_TRUE(handles[i].done());
       ASSERT_EQ(all_bytes(batch.stripes[i].view()), batch.encoded[i])
-          << "width=" << width << " stripe=" << i;
+          << "width=" << width << " symbol=" << symbol << " stripe=" << i;
     }
   }
+}
+
+// The slice decision under a measured profile (8 us dispatch, 26 GB/s at
+// w=8): a slice replays the whole plan, so the tuned floor divides by the
+// plan's Mult_XOR count. A lone 16 KiB-symbol stripe of the bench code's
+// 952-op encode then spreads over an idle 4-wide pool, while a
+// 256-byte-symbol stripe of the same code still runs as one task.
+TEST(CodecPipeline, TunedFloorSlicesALoneStripeByItsPlanCost) {
+  struct TunerGuard {
+    ~TunerGuard() { Autotune::instance().reset_for_testing(); }
+  } tuner_guard;
+  TuneProfile profile;
+  profile.measured = true;
+  profile.fingerprint = "fake";
+  profile.dispatch_overhead_ns = 8000.0;
+  profile.cells.push_back({static_cast<int>(gf::active_backend()),
+                           static_cast<int>(gf::RegionLayout::kStandard), 8, 65536, 26000.0});
+  Autotune::instance().set_enabled_for_testing(1);
+  Autotune::instance().set_profile_for_testing(profile);
+
+  const StairCode code({.n = 16, .r = 16, .m = 2, .e = {1, 1, 2}});
+  ASSERT_EQ(code.compiled_encoding_schedule(code.select_method()).mult_xor_count(), 952u);
+  const auto tasks_for = [&](std::size_t symbol) {
+    ThreadPool pool(4);
+    Codec codec(code, {.pool = &pool});
+    Batch batch(code, 1, symbol, 4242 + symbol);
+    EXPECT_TRUE(codec.submit_encode(batch.stripes[0].view()).ok());
+    EXPECT_EQ(all_bytes(batch.stripes[0].view()), batch.encoded[0]) << "symbol=" << symbol;
+    return quiesced_tasks_run(pool);
+  };
+  EXPECT_GT(tasks_for(16 * 1024), 1u);
+  EXPECT_EQ(tasks_for(256), 1u);
 }
 
 TEST(CodecPipeline, DecodeBatchRecoversAndSharesPlans) {
@@ -245,25 +304,27 @@ TEST(CodecPipeline, UpdateBatchMatchesSerialAcrossMatrix) {
     const StairCode code(c.cfg, c.mode);
     const UpdateEngine engine(code);
     Codec codec(code, {.min_slice_bytes = 256});
-    const std::size_t symbol = 4096 + 64, count = 7;
+    const std::size_t count = 7;
+    // 9999 leaves a ragged final slice.
+    for (std::size_t symbol : {std::size_t{4096 + 64}, std::size_t{9999}}) {
+      Batch serial(code, count, symbol, 42);
+      Batch batched(code, count, symbol, 42);
 
-    Batch serial(code, count, symbol, 42);
-    Batch batched(code, count, symbol, 42);
-
-    // One update per stripe (disjoint stripes may run concurrently).
-    std::vector<std::vector<std::uint8_t>> fresh(count, std::vector<std::uint8_t>(symbol));
-    Rng rng(11);
-    std::vector<Codec::Handle> handles;
-    for (std::size_t i = 0; i < count; ++i) {
-      rng.fill(fresh[i]);
-      const std::size_t idx = (i * 3) % code.data_symbol_count();
-      engine.update(serial.stripes[i].view(), idx, fresh[i]);
-      handles.push_back(codec.submit_update(batched.stripes[i].view(), idx, fresh[i]));
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_TRUE(handles[i].ok());
-      ASSERT_EQ(all_bytes(batched.stripes[i].view()), all_bytes(serial.stripes[i].view()))
-          << c.cfg.to_string() << " stripe=" << i;
+      // One update per stripe (disjoint stripes may run concurrently).
+      std::vector<std::vector<std::uint8_t>> fresh(count, std::vector<std::uint8_t>(symbol));
+      Rng rng(11);
+      std::vector<Codec::Handle> handles;
+      for (std::size_t i = 0; i < count; ++i) {
+        rng.fill(fresh[i]);
+        const std::size_t idx = (i * 3) % code.data_symbol_count();
+        engine.update(serial.stripes[i].view(), idx, fresh[i]);
+        handles.push_back(codec.submit_update(batched.stripes[i].view(), idx, fresh[i]));
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_TRUE(handles[i].ok());
+        ASSERT_EQ(all_bytes(batched.stripes[i].view()), all_bytes(serial.stripes[i].view()))
+            << c.cfg.to_string() << " symbol=" << symbol << " stripe=" << i;
+      }
     }
   }
 }
@@ -300,16 +361,27 @@ TEST(CodecPipeline, MixedPipelineRoundTrips) {
 
 TEST(CodecPipeline, WorkspacesSettleAtHighWaterMark) {
   const StairConfig cfg{.n = 8, .r = 8, .m = 2, .e = {1, 2}};
-  Codec codec(cfg);
+  // min_slice_bytes=256 so a lone 512-byte stripe is range-sliced.
+  Codec codec(cfg, {.min_slice_bytes = 256});
   const StairCode& code = codec.code();
   const std::size_t symbol = 512, count = 6, waves = 5;
   Batch batch(code, count, symbol, 2718);
 
   for (std::size_t wave = 0; wave < waves; ++wave) {
+    // Even waves run the whole batch stripe-per-task; odd waves run one
+    // stripe at a time, sliced over the idle pool — the leased workspaces
+    // carry over between the regimes and must be re-mapped, never stale.
     std::vector<Codec::Handle> handles;
-    for (auto& stripe : batch.stripes) handles.push_back(codec.submit_encode(stripe.view()));
+    for (auto& stripe : batch.stripes) {
+      handles.push_back(codec.submit_encode(stripe.view()));
+      if (wave % 2 == 1) handles.back().wait();
+    }
     codec.wait_all();
-    for (auto& h : handles) EXPECT_TRUE(h.ok());
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(handles[i].ok());
+      ASSERT_EQ(all_bytes(batch.stripes[i].view()), batch.encoded[i])
+          << "wave=" << wave << " stripe=" << i;
+    }
   }
   // Millions of stripes must not mean millions of workspaces: slots grow only
   // to the concurrent high-water mark, later waves lease released ones.

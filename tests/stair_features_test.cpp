@@ -277,59 +277,5 @@ TEST(PlanCache, ZeroCapacityRejected) {
   EXPECT_THROW(DecodePlanCache(code, 0), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// Parallel execution
-// ---------------------------------------------------------------------------
-
-class ParallelEncodeTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelEncodeTest, MatchesSerialEncodeExactly) {
-  const StairConfig cfg{.n = 8, .r = 8, .m = 2, .e = {1, 2}};
-  const StairCode code(cfg);
-  // Symbol size deliberately not a multiple of 64 * threads to exercise the
-  // ragged final slice.
-  const std::size_t symbol = 1000 * 16;
-  StripeBuffer serial(code, symbol), parallel(code, symbol);
-  std::vector<std::uint8_t> data(serial.data_size());
-  Rng rng(91);
-  rng.fill(data);
-  serial.set_data(data);
-  parallel.set_data(data);
-
-  code.encode(serial.view());
-  code.encode_parallel(parallel.view(), GetParam());
-  ASSERT_EQ(all_bytes(serial.view()), all_bytes(parallel.view()));
-}
-
-TEST_P(ParallelEncodeTest, ParallelDecodePlansWork) {
-  const StairConfig cfg{.n = 8, .r = 8, .m = 2, .e = {1, 2}};
-  const StairCode code(cfg);
-  StripeBuffer stripe(code, 64 * 32);
-  std::vector<std::uint8_t> data(stripe.data_size());
-  Rng rng(92);
-  rng.fill(data);
-  stripe.set_data(data);
-  code.encode(stripe.view());
-
-  std::vector<bool> lost(cfg.n * cfg.r, false);
-  for (std::size_t i = 0; i < cfg.r; ++i) lost[i * cfg.n + 2] = true;
-  lost[5 * cfg.n + 4] = true;
-  Rng garbage(93);
-  for (std::size_t idx = 0; idx < lost.size(); ++idx)
-    if (lost[idx]) garbage.fill(stripe.view().stored[idx]);
-
-  auto plan = code.build_decode_schedule(lost);
-  ASSERT_TRUE(plan.has_value());
-  code.execute_parallel(*plan, stripe.view(), GetParam());
-  std::vector<std::uint8_t> out(stripe.data_size());
-  stripe.get_data(out);
-  EXPECT_EQ(out, data);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelEncodeTest, ::testing::Values(1, 2, 3, 8),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param);
-                         });
-
 }  // namespace
 }  // namespace stair

@@ -118,9 +118,10 @@ TEST(StairSoak, SessionEndToEndSweep) {
     const StairConfig cfg = random_config(rng);
     const std::size_t word = static_cast<std::size_t>(cfg.w) / 8;
     std::size_t symbol = (1 + rng.next_below(7)) * 64 + word * rng.next_below(4);
-    // A quarter of iterations use symbols past Codec's min_slice_bytes so
-    // the intra-stripe range-slicing path (small batch, idle pool lanes)
-    // soaks too, not just the stripe-per-task path.
+    // A quarter of iterations use symbols past twice the session's pinned
+    // 1 KiB slice floor so the intra-stripe range-slicing path (small
+    // batch, idle pool lanes) soaks too, not just the stripe-per-task path,
+    // whatever floor the tuner would have measured on this host.
     if (rng.chance(0.25)) symbol = 4096 + 64 * rng.next_below(65);
     const std::size_t batch = 1 + rng.next_below(8);
     const std::size_t width = std::size_t{1} << rng.next_below(3);  // 1/2/4
@@ -129,7 +130,7 @@ TEST(StairSoak, SessionEndToEndSweep) {
 
     const StairCode code(cfg);
     ThreadPool pool(width);
-    Codec codec(code, {.pool = &pool});
+    Codec codec(code, {.pool = &pool, .min_slice_bytes = 1024});
 
     // --- encode the batch through the session; reference-encode serially ---
     std::vector<StripeBuffer> stripes;

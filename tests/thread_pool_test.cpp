@@ -1,6 +1,6 @@
-// Thread-pool unit tests: task completion, exception propagation, reuse
-// across thousands of submits (no thread leak), and STAIR_THREADS sizing.
-// This suite also runs under the ThreadSanitizer CI job.
+// Thread-pool unit tests: task completion, caller participation through
+// try_run_one, reuse across thousands of submits (no thread leak), and
+// STAIR_THREADS sizing. This suite also runs under the ThreadSanitizer CI job.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,8 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,57 +29,17 @@ std::size_t os_thread_count() {
   return 0;
 }
 
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(1000);
-  pool.parallel_for(counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, ZeroWorkerPoolDegradesToSerial) {
-  ThreadPool pool(1);  // caller-only
-  EXPECT_EQ(pool.size(), 0u);
-  EXPECT_EQ(pool.concurrency(), 1u);
-  std::vector<int> hits(64, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] = 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPool, EmptyBatchIsANoOp) {
-  ThreadPool pool(4);
-  pool.parallel_for(0, [&](std::size_t) { FAIL() << "must not run"; });
-  EXPECT_EQ(pool.batches_run(), 0u);
-}
-
-TEST(ThreadPool, CountSmallerThanConcurrency) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> counts(3);
-  pool.parallel_for(counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, MaxParticipantsCapsButCompletes) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> counts(100);
-  pool.parallel_for(
-      counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); },
-      /*max_participants=*/2);
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-}
-
-TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t i) {
-                          if (i == 37) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-
-  // The pool must still work after a failed batch.
-  std::atomic<int> ok{0};
-  pool.parallel_for(50, [&](std::size_t) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 50);
+// Submits `count` tasks running `fn` and returns once all of them have run,
+// helping drain the queue meanwhile the way Codec waits do.
+void run_tasks(ThreadPool& pool, std::size_t count, const std::function<void()>& fn) {
+  std::atomic<std::size_t> left{count};
+  for (std::size_t i = 0; i < count; ++i)
+    pool.submit([&] {
+      fn();
+      left.fetch_sub(1, std::memory_order_acq_rel);
+    });
+  while (left.load(std::memory_order_acquire) != 0)
+    if (!pool.try_run_one()) std::this_thread::yield();
 }
 
 TEST(ThreadPool, ThousandsOfSubmitsReuseTheSameWorkers) {
@@ -89,12 +49,14 @@ TEST(ThreadPool, ThousandsOfSubmitsReuseTheSameWorkers) {
 
   std::atomic<std::uint64_t> total{0};
   for (int round = 0; round < 2000; ++round)
-    pool.parallel_for(8, [&](std::size_t) { total.fetch_add(1, std::memory_order_relaxed); });
+    run_tasks(pool, 8, [&] { total.fetch_add(1, std::memory_order_relaxed); });
 
   EXPECT_EQ(total.load(), 16000u);
   EXPECT_EQ(pool.size(), workers);  // worker set is fixed at construction
-  EXPECT_EQ(pool.batches_run(), 2000u);
-  EXPECT_EQ(pool.indices_run(), 16000u);
+  // The stat is bumped after each task body returns, so it can trail the
+  // in-task counter by the tasks still unwinding.
+  while (pool.tasks_run() < 16000u) std::this_thread::yield();
+  EXPECT_EQ(pool.tasks_run(), 16000u);
   if (before_os != 0) {
     // No thread leak: the process thread count must not have grown with the
     // number of submits (tolerate unrelated runtime threads +/- a couple).
@@ -107,7 +69,7 @@ TEST(ThreadPool, ConcurrentExternalSubmitters) {
   std::atomic<std::uint64_t> total{0};
   auto submitter = [&] {
     for (int round = 0; round < 200; ++round)
-      pool.parallel_for(16, [&](std::size_t) { total.fetch_add(1, std::memory_order_relaxed); });
+      run_tasks(pool, 16, [&] { total.fetch_add(1, std::memory_order_relaxed); });
   };
   std::thread a(submitter), b(submitter);
   a.join();
@@ -145,12 +107,12 @@ TEST(ThreadPool, DefaultPoolIsASingleton) {
 }
 
 TEST(ThreadPool, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
   constexpr std::size_t kTasks = 500;
   std::atomic<std::size_t> ran{0};
   std::atomic<std::size_t> done{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(4);  // declared last: it joins its workers before mu/cv go
   for (std::size_t i = 0; i < kTasks; ++i) {
     pool.submit([&] {
       ran.fetch_add(1);
@@ -160,8 +122,12 @@ TEST(ThreadPool, SubmitRunsEveryTask) {
       }
     });
   }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done.load() == kTasks; });
+  {
+    // Scoped: the last task may still be waiting for `mu` to notify, and it
+    // must get it before the loop below can see its tasks_run bump.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return done.load() == kTasks; });
+  }
   EXPECT_EQ(ran.load(), kTasks);
   // The pool's stat is bumped after the task body returns, so it can trail
   // the in-task counter by the tasks still unwinding.
@@ -171,24 +137,45 @@ TEST(ThreadPool, SubmitRunsEveryTask) {
 
 TEST(ThreadPool, SubmitOnZeroWorkerPoolRunsInline) {
   ThreadPool pool(1);  // caller-only: no workers to hand the task to
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.concurrency(), 1u);
   bool ran = false;
   pool.submit([&] { ran = true; });
   EXPECT_TRUE(ran);  // ran before submit returned
   EXPECT_EQ(pool.tasks_run(), 1u);
+  EXPECT_FALSE(pool.try_run_one());  // nothing was ever queued
 }
 
-TEST(ThreadPool, SubmitAndParallelForInterleave) {
-  ThreadPool pool(4);
-  std::atomic<std::size_t> task_runs{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.submit([&] { task_runs.fetch_add(1); });
-    std::atomic<std::size_t> indices{0};
-    pool.parallel_for(16, [&](std::size_t) { indices.fetch_add(1); });
-    EXPECT_EQ(indices.load(), 16u);
+TEST(ThreadPool, TryRunOneRunsQueuedTasksOnTheCaller) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool worker_busy = false, release = false;
+  ThreadPool pool(2);  // one worker, which the first task parks
+  pool.submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    worker_busy = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return worker_busy; });
   }
-  // Queued tasks are drained by destruction (workers finish the queue).
-  while (pool.tasks_run() < 50) std::this_thread::yield();
-  EXPECT_EQ(task_runs.load(), 50u);
+  // The only worker is held, so this task stays queued until the caller
+  // takes it.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  pool.submit([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_TRUE(pool.try_run_one());
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_FALSE(pool.try_run_one());  // queue drained
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  while (pool.tasks_run() < 2) std::this_thread::yield();
+  EXPECT_EQ(pool.tasks_run(), 2u);
 }
 
 }  // namespace
