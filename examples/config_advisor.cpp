@@ -24,10 +24,13 @@
 // The top candidates are then *validated* with a short inflated-rate
 // ClusterSim run: simulated loss events must fall inside the Poisson band
 // of the same analytic pipeline, printed as measured-vs-analytic columns.
+//
+// A malformed or out-of-range argument prints usage and exits 2.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -45,6 +48,28 @@ using namespace stair;
 using namespace stair::reliability;
 
 namespace {
+
+// Reads argv[i] when present (absent keeps the default). The whole argument
+// must parse and a number must be finite: a typo is a usage error, never a
+// silent zero.
+template <typename T>
+bool read_arg(int argc, char** argv, int i, T* out) {
+  if (i >= argc) return true;
+  const char* end = argv[i] + std::strlen(argv[i]);
+  const auto [stop, err] = std::from_chars(argv[i], end, *out);
+  return err == std::errc{} && stop == end && std::isfinite(static_cast<double>(*out));
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [n=8] [r=16] [m=2] [beta=2] [p_bit=1e-12] [indep]\n"
+               "       %s cluster [n=8] [r=16] [beta=2] [device_gib=300] [mttf_khours=500]\n"
+               "           [repair_mbps=64] [scan_mbps=64] [rate_per_hour=1e-8]"
+               " [target_years=10000]\n"
+               "n >= 2, r >= 1, m < n, 0 <= p_bit <= 1, rate_per_hour >= 0; other numbers > 0\n",
+               argv0, argv0);
+  return 2;
+}
 
 std::string format_e(const std::vector<std::size_t>& e) {
   std::string s = "(";
@@ -111,17 +136,18 @@ void simulate_policy(Policy& policy, std::size_t n, std::size_t r) {
 }
 
 int advise_cluster(int argc, char** argv) {
-  const std::size_t n = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 8;
-  const std::size_t r = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 16;
-  const std::size_t beta = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 2;
-  const double device_gib = argc > 5 ? std::strtod(argv[5], nullptr) : 300.0;
-  const double mttf_hours =
-      (argc > 6 ? std::strtod(argv[6], nullptr) : 500.0) * 1000.0;
-  const double repair_mbps = argc > 7 ? std::strtod(argv[7], nullptr) : 64.0;
-  const double scan_mbps = argc > 8 ? std::strtod(argv[8], nullptr) : 64.0;
-  const double rate = argc > 9 ? std::strtod(argv[9], nullptr) : 1e-8;
-  const double target_hours =
-      (argc > 10 ? std::strtod(argv[10], nullptr) : 10000.0) * 8766.0;
+  std::size_t n = 8, r = 16, beta = 2;
+  double device_gib = 300.0, mttf_khours = 500.0, repair_mbps = 64.0, scan_mbps = 64.0,
+         rate = 1e-8, target_years = 10000.0;
+  if (argc > 11 || !read_arg(argc, argv, 2, &n) || !read_arg(argc, argv, 3, &r) ||
+      !read_arg(argc, argv, 4, &beta) || !read_arg(argc, argv, 5, &device_gib) ||
+      !read_arg(argc, argv, 6, &mttf_khours) || !read_arg(argc, argv, 7, &repair_mbps) ||
+      !read_arg(argc, argv, 8, &scan_mbps) || !read_arg(argc, argv, 9, &rate) ||
+      !read_arg(argc, argv, 10, &target_years) || n < 2 || r < 1 || device_gib <= 0 ||
+      mttf_khours <= 0 || repair_mbps <= 0 || scan_mbps <= 0 || rate < 0 || target_years <= 0)
+    return usage(argv[0]);
+  const double mttf_hours = mttf_khours * 1000.0;
+  const double target_hours = target_years * 8766.0;
 
   const double device_bytes = device_gib * 1024.0 * 1024.0 * 1024.0;
   // The derived quantities static tables hard-code:
@@ -254,12 +280,14 @@ int advise_cluster(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "cluster") == 0)
     return advise_cluster(argc, argv);
-  const std::size_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8;
-  const std::size_t r = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 16;
-  const std::size_t m = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2;
-  const std::size_t beta = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 2;
-  const double p_bit = argc > 5 ? std::strtod(argv[5], nullptr) : 1e-12;
-  const bool correlated = !(argc > 6 && std::strcmp(argv[6], "indep") == 0);
+  std::size_t n = 8, r = 16, m = 2, beta = 2;
+  double p_bit = 1e-12;
+  if (argc > 7 || !read_arg(argc, argv, 1, &n) || !read_arg(argc, argv, 2, &r) ||
+      !read_arg(argc, argv, 3, &m) || !read_arg(argc, argv, 4, &beta) ||
+      !read_arg(argc, argv, 5, &p_bit) || (argc > 6 && std::strcmp(argv[6], "indep") != 0) ||
+      n < 2 || r < 1 || m >= n || p_bit < 0 || p_bit > 1)
+    return usage(argv[0]);
+  const bool correlated = argc <= 6;
 
   std::printf("advising for n=%zu r=%zu m=%zu, burst tolerance beta=%zu, P_bit=%g, %s model\n\n",
               n, r, m, beta, p_bit, correlated ? "correlated-burst" : "independent");

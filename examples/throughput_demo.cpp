@@ -5,19 +5,22 @@
 //
 // Prints the Mult_XOR cost of all three encoding methods, which one the code
 // auto-selects, and measured MB/s for encode and for the worst-case erasure
-// pattern decode.
+// pattern decode. A malformed argument, or one that makes no valid code,
+// prints usage and exits 2.
 
-#include <cstdio>
-#include <cstdlib>
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "stair/codec.h"
 #include "stair/cost_model.h"
 #include "stair/stair_code.h"
+#include "stair/stripe_store.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -26,17 +29,19 @@ using namespace stair;
 
 namespace {
 
-std::vector<std::size_t> parse_e(const char* arg) {
-  std::vector<std::size_t> e;
-  std::string s(arg);
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t next = s.find(',', pos);
-    if (next == std::string::npos) next = s.size();
-    e.push_back(std::strtoull(s.substr(pos, next - pos).c_str(), nullptr, 10));
-    pos = next + 1;
-  }
-  return e;
+// Reads argv[i] when present (absent keeps the default). The whole argument
+// must be plain decimal digits: a typo is a usage error, never a silent 0.
+bool read_arg(int argc, char** argv, int i, std::size_t* out) {
+  if (i >= argc) return true;
+  const char* end = argv[i] + std::strlen(argv[i]);
+  const auto [stop, err] = std::from_chars(argv[i], end, *out);
+  return err == std::errc{} && stop == end;
+}
+
+int usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [n=16] [r=16] [m=2] [e=1,2] [stripe_mb=32, 1..1024]\n",
+               argv0);
+  return 2;
 }
 
 double measure(const std::function<void()>& fn, std::size_t bytes) {
@@ -54,13 +59,19 @@ double measure(const std::function<void()>& fn, std::size_t bytes) {
 
 int main(int argc, char** argv) {
   StairConfig cfg{.n = 16, .r = 16, .m = 2, .e = {1, 2}};
-  if (argc > 1) cfg.n = std::strtoull(argv[1], nullptr, 10);
-  if (argc > 2) cfg.r = std::strtoull(argv[2], nullptr, 10);
-  if (argc > 3) cfg.m = std::strtoull(argv[3], nullptr, 10);
-  if (argc > 4) cfg.e = parse_e(argv[4]);
-  const std::size_t stripe_mb = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 32;
-  cfg.w = std::max(cfg.minimum_w(), 8);
-  cfg.validate();
+  std::size_t stripe_mb = 32;
+  if (argc > 6 || !read_arg(argc, argv, 1, &cfg.n) || !read_arg(argc, argv, 2, &cfg.r) ||
+      !read_arg(argc, argv, 3, &cfg.m) || !read_arg(argc, argv, 5, &stripe_mb) ||
+      stripe_mb < 1 || stripe_mb > 1024)
+    return usage(argv[0]);
+  try {
+    if (argc > 4) cfg.e = parse_coverage_list(argv[4]);
+    cfg.w = std::max(cfg.minimum_w(), 8);
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage(argv[0]);
+  }
 
   // All measurement runs through one codec session: schedules, decode plans,
   // and workspaces are session-amortized exactly as a serving system would.

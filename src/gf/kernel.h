@@ -187,7 +187,7 @@ class CompiledKernel {
 
 /// Shared thread-safe cache: the compiled kernel for (f, a), built on first
 /// request. This is what amortizes split-table construction across every
-/// schedule replay and incremental update in the process.
+/// schedule replay in the process.
 std::shared_ptr<const CompiledKernel> compiled_kernel(const Field& f, std::uint32_t a);
 
 /// Process-lifetime count of CompiledKernel constructions (split-table

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -164,6 +165,20 @@ struct JsonScanner {
     p = done;
     return true;
   }
+  // strtod also takes 1e300, -1, inf and nan, and casting a double outside
+  // the target type is UB: an integer field takes only a finite, integral,
+  // in-range value, a rate only a finite, non-negative one.
+  template <typename T>
+  bool integer(T* out) {
+    double v;
+    if (!number(&v) || !(v >= static_cast<double>(std::numeric_limits<T>::min()) &&
+                         v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0 &&
+                         std::trunc(v) == v))
+      return false;
+    *out = static_cast<T>(v);
+    return true;
+  }
+  bool rate(double* out) { return number(out) && std::isfinite(*out) && *out >= 0.0; }
   bool boolean(bool* out) {
     skip_ws();
     if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
@@ -220,13 +235,15 @@ bool parse_cell(JsonScanner* js, TuneCell* cell) {
   do {
     std::string key;
     if (!js->string(&key) || !js->consume(':')) return false;
-    double v = 0.0;
-    if (!js->number(&v)) return false;
-    if (key == "backend") cell->backend = static_cast<int>(v);
-    else if (key == "layout") cell->layout = static_cast<int>(v);
-    else if (key == "w") cell->w = static_cast<int>(v);
-    else if (key == "region_bytes") cell->region_bytes = static_cast<std::size_t>(v);
-    else if (key == "mbps") cell->mbps = v;
+    bool ok;
+    double ignored;
+    if (key == "backend") ok = js->integer(&cell->backend);
+    else if (key == "layout") ok = js->integer(&cell->layout);
+    else if (key == "w") ok = js->integer(&cell->w);
+    else if (key == "region_bytes") ok = js->integer(&cell->region_bytes);
+    else if (key == "mbps") ok = js->rate(&cell->mbps);
+    else ok = js->number(&ignored);
+    if (!ok) return false;
   } while (js->consume(','));
   return js->consume('}');
 }
@@ -279,23 +296,20 @@ bool TuneProfile::from_json(const std::string& text, TuneProfile* out) {
       std::string key;
       if (!js.string(&key) || !js.consume(':')) return false;
       bool ok = true;
-      double v = 0.0;
       if (key == "version") {
-        ok = js.number(&v);
-        p.version = static_cast<int>(v);
+        ok = js.integer(&p.version);
       } else if (key == "fingerprint") {
         ok = js.string(&p.fingerprint);
       } else if (key == "measured") {
         ok = js.boolean(&p.measured);
       } else if (key == "memcpy_mbps") {
-        ok = js.number(&p.memcpy_mbps);
+        ok = js.rate(&p.memcpy_mbps);
       } else if (key == "xor_mbps") {
-        ok = js.number(&p.xor_mbps);
+        ok = js.rate(&p.xor_mbps);
       } else if (key == "dispatch_overhead_ns") {
-        ok = js.number(&p.dispatch_overhead_ns);
+        ok = js.rate(&p.dispatch_overhead_ns);
       } else if (key == "cache_budget_bytes") {
-        ok = js.number(&v);
-        p.cache_budget_bytes = static_cast<std::size_t>(v);
+        ok = js.integer(&p.cache_budget_bytes);
       } else if (key == "cells") {
         ok = parse_cells(&js, &p.cells);
       } else if (key == "convert") {

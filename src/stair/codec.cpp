@@ -1,7 +1,7 @@
 #include "stair/codec.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <exception>
 #include <utility>
 
 #include "gf/region.h"
@@ -14,9 +14,6 @@ namespace stair {
 // state. Subtasks share the job read-only except for the completion fields
 // (guarded by mu) and the disjoint byte ranges they each own.
 struct CodecJob {
-  enum class Kind { kEncode, kDecode, kUpdate };
-
-  Kind kind = Kind::kEncode;
   // Set at launch; lets a blocked Handle::wait() help drain this pool
   // (null on immediately-done jobs).
   ThreadPool* pool = nullptr;
@@ -25,9 +22,9 @@ struct CodecJob {
   // full-batch regime: stripe per task); nonzero means range-sliced.
   std::size_t slice_bytes = 0;
 
-  // Encode/decode: the compiled plan to replay over the prepared workspace's
-  // symbol table. `plan_keepalive` pins decode plans across cache evictions;
-  // encode plans are owned by the StairCode's lazy cache (session-lived).
+  // The compiled plan to replay over the prepared workspace's symbol table.
+  // `plan_keepalive` pins decode plans across cache evictions; encode plans
+  // are owned by the StairCode's lazy cache (session-lived).
   const CompiledSchedule* plan = nullptr;
   std::shared_ptr<const CompiledSchedule> plan_keepalive;
   WorkspacePool<Workspace>::Lease ws;
@@ -38,13 +35,6 @@ struct CodecJob {
   // per job, at the submit/complete boundary of its range, never inside the
   // strip-mined replay loop. Leased workspace scratch stays altmap forever.
   gf::RegionLayout layout = gf::RegionLayout::kStandard;
-
-  // Update: the per-range body needs the original view plus delta scratch.
-  const UpdateEngine* engine = nullptr;
-  StripeView stripe;
-  std::size_t data_index = 0;
-  std::span<const std::uint8_t> new_content;
-  WorkspacePool<AlignedBuffer>::Lease delta;
 
   // Completion state. `done` is atomic so Handle::done() can poll without
   // the lock; it is still written under mu (the cv wait predicate reads it).
@@ -60,30 +50,6 @@ struct CodecJob {
   void replay(std::size_t offset, std::size_t length) const {
     plan->execute_range_converted(ws->symbols_, ws->caller_owned_, layout, offset, length);
   }
-
-  void run_range(std::size_t offset, std::size_t length) const {
-    switch (kind) {
-      case Kind::kEncode:
-      case Kind::kDecode:
-        replay(offset, length);
-        break;
-      case Kind::kUpdate:
-        engine->update_range(stripe, data_index, new_content, delta->span(), offset, length);
-        break;
-    }
-  }
-
-  void run_full() const {
-    switch (kind) {
-      case Kind::kEncode:
-      case Kind::kDecode:
-        replay(0, symbol_size);  // full replay keeps the strip-mined path
-        break;
-      case Kind::kUpdate:
-        engine->update_range(stripe, data_index, new_content, delta->span(), 0, symbol_size);
-        break;
-    }
-  }
 };
 
 namespace {
@@ -94,11 +60,11 @@ namespace {
 void run_subtask(const std::shared_ptr<CodecJob>& job, std::size_t index) {
   try {
     if (job->slice_bytes == 0) {
-      job->run_full();
+      job->replay(0, job->symbol_size);  // full replay keeps the strip-mined path
     } else {
       const std::size_t offset = index * job->slice_bytes;
       if (offset < job->symbol_size)
-        job->run_range(offset, std::min(job->slice_bytes, job->symbol_size - offset));
+        job->replay(offset, std::min(job->slice_bytes, job->symbol_size - offset));
     }
   } catch (...) {
     std::lock_guard<std::mutex> lock(job->mu);
@@ -132,12 +98,6 @@ Codec::Codec(const StairCode& code, Options options)
 }
 
 Codec::~Codec() { wait_all(); }
-
-const UpdateEngine& Codec::update_engine() const {
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  if (!update_engine_) update_engine_ = std::make_unique<UpdateEngine>(*code_);
-  return *update_engine_;
-}
 
 std::size_t Codec::decide_subtasks(std::size_t symbol_size, std::size_t touched,
                                    std::size_t mult_xors, gf::RegionLayout layout,
@@ -197,7 +157,6 @@ Codec::Handle Codec::launch(const std::shared_ptr<CodecJob>& job, std::size_t su
           // Return the leased scratch before signalling completion, so a
           // caller chaining the next submit off wait() reuses it warm.
           job->ws.reset();
-          job->delta.reset();
           job->done.store(true, std::memory_order_release);
         }
       }
@@ -227,13 +186,36 @@ Codec::Handle Codec::launch(const std::shared_ptr<CodecJob>& job, std::size_t su
 Codec::Handle Codec::submit_encode(const StripeView& stripe, EncodingMethod method,
                                    Completion then) {
   if (method == EncodingMethod::kAuto) method = code_->select_method();
-  const CompiledSchedule& plan = code_->compiled_encoding_schedule(method);
+  return submit_plan(stripe, code_->compiled_encoding_schedule(method), nullptr,
+                     std::move(then));
+}
 
+Codec::Handle Codec::submit_decode(const StripeView& stripe, const std::vector<bool>& erased,
+                                   Completion then) {
+  auto plan = plan_cache_.plan(erased);
+  if (!plan) {
+    // Outside the coverage: complete immediately (stripe untouched) so the
+    // caller sees the same contract as StairCode::decode returning false.
+    auto job = std::make_shared<CodecJob>();
+    job->ok = false;
+    job->done.store(true, std::memory_order_release);
+    jobs_submitted_.fetch_add(1, std::memory_order_relaxed);
+    jobs_completed_.fetch_add(1, std::memory_order_release);
+    if (then) then(false);
+    return Handle(job);
+  }
+  const CompiledSchedule& compiled = *plan;
+  return submit_plan(stripe, compiled, std::move(plan), std::move(then));
+}
+
+Codec::Handle Codec::submit_plan(const StripeView& stripe, const CompiledSchedule& plan,
+                                 std::shared_ptr<const CompiledSchedule> keepalive,
+                                 Completion then) {
   auto job = std::make_shared<CodecJob>();
   job->then = std::move(then);
-  job->kind = CodecJob::Kind::kEncode;
   job->symbol_size = stripe.symbol_size;
   job->plan = &plan;
+  job->plan_keepalive = std::move(keepalive);
   // Tuned layout: altmap only when the measured throughput gap beats the
   // boundary conversion at this plan's ops-per-region and stripe size.
   job->layout = Autotune::instance().choose_layout(
@@ -246,79 +228,6 @@ Codec::Handle Codec::submit_encode(const StripeView& stripe, EncodingMethod meth
   std::size_t slice = 0;
   const std::size_t subtasks = decide_subtasks(stripe.symbol_size, plan.touched_symbols(),
                                                plan.mult_xor_count(), job->layout, &slice);
-  job->slice_bytes = slice;
-  return launch(job, subtasks);
-}
-
-Codec::Handle Codec::submit_decode(const StripeView& stripe, const std::vector<bool>& erased,
-                                   Completion then) {
-  auto plan = plan_cache_.plan(erased);
-  if (!plan) {
-    // Outside the coverage: complete immediately (stripe untouched) so the
-    // caller sees the same contract as StairCode::decode returning false.
-    auto job = std::make_shared<CodecJob>();
-    job->kind = CodecJob::Kind::kDecode;
-    job->ok = false;
-    job->done.store(true, std::memory_order_release);
-    jobs_submitted_.fetch_add(1, std::memory_order_relaxed);
-    jobs_completed_.fetch_add(1, std::memory_order_release);
-    if (then) then(false);
-    return Handle(job);
-  }
-
-  auto job = std::make_shared<CodecJob>();
-  job->then = std::move(then);
-  job->kind = CodecJob::Kind::kDecode;
-  job->symbol_size = stripe.symbol_size;
-  job->plan = plan.get();
-  job->plan_keepalive = std::move(plan);
-  job->layout = Autotune::instance().choose_layout(
-      code_->field().w(),
-      static_cast<double>(job->plan->mult_xor_count()) /
-          std::max<std::size_t>(1, job->plan->touched_symbols()),
-      stripe.symbol_size);
-  job->ws = workspaces_.acquire();
-  code_->prepare_workspace(stripe, *job->ws);
-
-  std::size_t slice = 0;
-  const std::size_t subtasks =
-      decide_subtasks(stripe.symbol_size, job->plan->touched_symbols(),
-                      job->plan->mult_xor_count(), job->layout, &slice);
-  job->slice_bytes = slice;
-  return launch(job, subtasks);
-}
-
-Codec::Handle Codec::submit_update(const StripeView& stripe, std::size_t data_index,
-                                   std::span<const std::uint8_t> new_content,
-                                   Completion then) {
-  const UpdateEngine& engine = update_engine();
-  if (stripe.stored.size() != code_->layout().stored_count())
-    throw std::invalid_argument("Codec::submit_update: stripe view has wrong stored count");
-  if (code_->mode() == GlobalParityMode::kOutside &&
-      stripe.outside_globals.size() != code_->config().s())
-    throw std::invalid_argument("Codec::submit_update: outside-global mode needs s regions");
-  if (data_index >= code_->data_symbol_count())
-    throw std::invalid_argument("Codec::submit_update: data index out of range");
-  if (new_content.size() != stripe.symbol_size)
-    throw std::invalid_argument("Codec::submit_update: wrong symbol size");
-
-  auto job = std::make_shared<CodecJob>();
-  job->then = std::move(then);
-  job->kind = CodecJob::Kind::kUpdate;
-  job->symbol_size = stripe.symbol_size;
-  job->engine = &engine;
-  job->stripe = stripe;
-  job->data_index = data_index;
-  job->new_content = new_content;
-  job->delta = delta_buffers_.acquire();
-  if (job->delta->size() < stripe.symbol_size)
-    *job->delta = AlignedBuffer(stripe.symbol_size);
-
-  std::size_t slice = 0;
-  // Updates run the standard-layout patch kernels (update_engine.cpp).
-  const std::size_t subtasks =
-      decide_subtasks(stripe.symbol_size, engine.touched_regions(data_index),
-                      engine.update_cost(data_index), gf::RegionLayout::kStandard, &slice);
   job->slice_bytes = slice;
   return launch(job, subtasks);
 }

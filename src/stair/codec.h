@@ -9,23 +9,21 @@
 //
 //   * the StairCode (schedules compile once per session),
 //   * a DecodePlanCache (failure-epoch masks invert once per session),
-//   * a lazily built UpdateEngine (patch lists resolve once per session),
 //   * a WorkspacePool of reusable scratch (allocations settle at the
 //     in-flight high-water mark),
 //   * a handle to the persistent ThreadPool (threads park once per process).
 //
-// submit_encode / submit_decode / submit_update enqueue one stripe's work and
-// return a completion Handle immediately; Handle::wait() blocks (and
-// rethrows) for that stripe only, wait_all() drains the session. When a
-// submission arrives while the pool has idle lanes — a batch too small to
-// fill the machine — the stripe is internally range-sliced across the idle
-// width, and a deep batch runs stripe-per-task: the same execution path,
-// saturating in both regimes. This is the library's only intra-stripe
-// parallelism (§6.2.1): StairCode and UpdateEngine run on the calling
-// thread, and the Codec replays their compiled plans and per-range update
-// bodies, adding no coding logic of its own. Slices average at least the
-// floor Autotune::min_slice_bytes sets for the job's Mult_XOR count, so
-// small stripes and cheap plans run as one task.
+// submit_encode / submit_decode enqueue one stripe's work and return a
+// completion Handle immediately; Handle::wait() blocks (and rethrows) for
+// that stripe only, wait_all() drains the session. When a submission arrives
+// while the pool has idle lanes — a batch too small to fill the machine —
+// the stripe is internally range-sliced across the idle width, and a deep
+// batch runs stripe-per-task: the same execution path, saturating in both
+// regimes. This is the library's only intra-stripe parallelism (§6.2.1):
+// StairCode runs on the calling thread, and every Codec job replays one of
+// its compiled encode or decode plans, adding no coding logic of its own.
+// Slices average at least the floor Autotune::min_slice_bytes sets for the
+// job's Mult_XOR count, so small stripes and cheap plans run as one task.
 //
 // Usage sketch:
 //   Codec codec({.n = 8, .r = 16, .m = 2, .e = {1, 2}});
@@ -34,8 +32,8 @@
 //   codec.wait_all();                        // or h[i].wait() individually
 //
 // Thread-safety: submits and waits may come from any thread. The stripe
-// regions (and an update's new_content) must stay valid and untouched until
-// the handle completes; concurrent jobs must target disjoint stripes.
+// regions must stay valid and untouched until the handle completes;
+// concurrent jobs must target disjoint stripes.
 #pragma once
 
 #include <atomic>
@@ -44,14 +42,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "gf/region.h"
 #include "stair/plan_cache.h"
 #include "stair/stair_code.h"
-#include "stair/update_engine.h"
-#include "util/buffer.h"
 #include "util/workspace_pool.h"
 
 namespace stair {
@@ -89,7 +84,7 @@ class Codec {
     /// Blocks until the job completes; rethrows the first subtask exception.
     void wait() const;
     /// wait(), then the job's outcome: false only for a decode whose mask is
-    /// outside the code's coverage (encode/update always true).
+    /// outside the code's coverage (encode always true).
     bool ok() const;
 
    private:
@@ -115,8 +110,6 @@ class Codec {
   ThreadPool& pool() const { return *pool_; }
   DecodePlanCache& plan_cache() { return plan_cache_; }
   const DecodePlanCache& plan_cache() const { return plan_cache_; }
-  /// The session's update engine (built on first use).
-  const UpdateEngine& update_engine() const;
 
   // --- submission -----------------------------------------------------------
 
@@ -143,11 +136,6 @@ class Codec {
   Handle submit_decode(const StripeView& stripe, const std::vector<bool>& erased,
                        Completion then = nullptr);
 
-  /// Enqueues one incremental update (data_index, new bytes) on a stripe.
-  Handle submit_update(const StripeView& stripe, std::size_t data_index,
-                       std::span<const std::uint8_t> new_content,
-                       Completion then = nullptr);
-
   /// Blocks until every job submitted so far has completed. Does NOT rethrow
   /// job exceptions (those surface through each Handle::wait / ok).
   void wait_all();
@@ -163,6 +151,12 @@ class Codec {
   std::size_t workspaces_created() const { return workspaces_.created(); }
 
  private:
+  /// The one path both submits take: lease and prepare a workspace, pick
+  /// the replay layout and slicing for `plan`, and launch. `keepalive` pins
+  /// a decode plan across cache evictions (null for encode plans, which the
+  /// StairCode owns).
+  Handle submit_plan(const StripeView& stripe, const CompiledSchedule& plan,
+                     std::shared_ptr<const CompiledSchedule> keepalive, Completion then);
   std::size_t decide_subtasks(std::size_t symbol_size, std::size_t touched,
                               std::size_t mult_xors, gf::RegionLayout layout,
                               std::size_t* slice_bytes) const;
@@ -174,10 +168,6 @@ class Codec {
   Options options_;
   DecodePlanCache plan_cache_;
   WorkspacePool<Workspace> workspaces_;
-  WorkspacePool<AlignedBuffer> delta_buffers_;  // update jobs' delta scratch
-
-  mutable std::mutex engine_mu_;
-  mutable std::unique_ptr<UpdateEngine> update_engine_;  // lazy, engine_mu_
 
   std::atomic<std::uint64_t> jobs_submitted_{0}, jobs_completed_{0};
   std::atomic<std::size_t> subtasks_in_flight_{0};  // slicing decisions read this

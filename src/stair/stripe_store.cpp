@@ -145,9 +145,20 @@ StripeStore StripeStore::load(const std::string& dir) {
   // arithmetic everywhere else relies on a loaded store being
   // self-consistent, so an adversarial manifest has to be stopped here.
   constexpr std::size_t kMaxSectors = std::size_t{1} << 32;  // 2^32 checksums = 32 GiB
+  constexpr std::size_t kMaxBlock = std::size_t{1} << 24;    // caps block and symbol
   StripeStore store;
   std::size_t chunk_lines = 0;
   std::vector<bool> seen;
+  auto check_geometry = [&store] {
+    try {
+      store.cfg.validate();
+    } catch (const std::exception& e) {
+      manifest_fail(std::string("geometry invalid: ") + e.what());
+    }
+    if (store.cfg.n > kMaxSectors / store.cfg.r ||
+        store.stripes > kMaxSectors / (store.cfg.n * store.cfg.r))
+      manifest_fail("geometry implausible (stripes * n * r overflows)");
+  };
   std::string key;
   while (in >> key) {
     if (key == "stair_store") {
@@ -169,12 +180,13 @@ StripeStore StripeStore::load(const std::string& dir) {
       store.cfg.w = manifest_read<int>(in, "w");
     } else if (key == "symbol") {
       store.symbol_bytes = manifest_read<std::size_t>(in, "symbol");
+      if (store.symbol_bytes > kMaxBlock) manifest_fail("symbol size implausible");
     } else if (key == "block") {
       // Layout block (padding stride). Absent in pre-raw-IO manifests, whose
       // stores are unpadded: block_bytes keeps its default of 1.
       store.block_bytes = manifest_read<std::size_t>(in, "block");
       if (store.block_bytes == 0) manifest_fail("block size zero");
-      if (store.block_bytes > (std::size_t{1} << 24)) manifest_fail("block size implausible");
+      if (store.block_bytes > kMaxBlock) manifest_fail("block size implausible");
     } else if (key == "file_size") {
       store.file_size = manifest_read<std::size_t>(in, "file_size");
     } else if (key == "stripes") {
@@ -186,14 +198,7 @@ StripeStore StripeStore::load(const std::string& dir) {
       // geometry is known — and validated — here, before the first index.
       if (store.cfg.n == 0 || store.cfg.r == 0) manifest_fail("chunk line before geometry");
       if (store.sector_checksums.empty()) {
-        try {
-          store.cfg.validate();
-        } catch (const std::exception& e) {
-          manifest_fail(std::string("geometry invalid: ") + e.what());
-        }
-        if (store.cfg.n > kMaxSectors / store.cfg.r ||
-            store.stripes > kMaxSectors / (store.cfg.n * store.cfg.r))
-          manifest_fail("geometry implausible (stripes * n * r overflows)");
+        check_geometry();
         store.sector_checksums.assign(store.stripes * store.cfg.n * store.cfg.r, 0);
         seen.assign(store.stripes * store.cfg.n, false);
       }
@@ -211,12 +216,16 @@ StripeStore StripeStore::load(const std::string& dir) {
     }
   }
   if (in.bad()) manifest_fail("read failed: " + manifest_path(dir));
-  try {
-    store.cfg.validate();
-  } catch (const std::exception& e) {
-    manifest_fail(std::string("geometry invalid: ") + e.what());
-  }
+  check_geometry();
   if (store.symbol_bytes == 0) manifest_fail("missing symbol size");
+  // Every reader sizes its copy-out by file_size and finds a stripe by
+  // offset / stripe_data, so the two must agree: ceil(file_size /
+  // stripe_data) stripes, 0 for an empty file. A store keeps its globals
+  // inside the stripe; the caps above hold stripe_data below 2^56.
+  const std::size_t stripe_data = store.cfg.data_symbols_inside() * store.symbol_bytes;
+  if (store.stripes != store.file_size / stripe_data + (store.file_size % stripe_data != 0))
+    manifest_fail("file_size " + std::to_string(store.file_size) + " does not fit " +
+                  std::to_string(store.stripes) + " stripes");
   if (chunk_lines != store.stripes * store.cfg.n)
     manifest_fail("truncated: " + std::to_string(chunk_lines) + " of " +
                   std::to_string(store.stripes * store.cfg.n) + " chunk lines");

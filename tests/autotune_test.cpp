@@ -203,13 +203,43 @@ TEST(AutotuneProfileTest, JsonRoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(q.convert_cells[0].mbps, p.convert_cells[0].mbps);
 }
 
+// A number its field cannot represent is malformed too: the parse fails
+// (so ensure() re-probes) instead of casting it. Integer fields take finite,
+// integral, in-range values; rates take finite, non-negative ones.
 TEST(AutotuneProfileTest, MalformedJsonIsRejected) {
+  for (const char* doc : {
+           "",
+           "not json at all",
+           R"({"version": )",
+           R"({"version": 1e300})",
+           R"({"version": 1.5})",
+           R"({"cache_budget_bytes": -1})",
+           R"({"cache_budget_bytes": 1e20})",
+           R"({"memcpy_mbps": inf})",
+           R"({"xor_mbps": nan})",
+           R"({"dispatch_overhead_ns": -3})",
+           R"({"cells": [{"backend": 1e99}]})",
+           R"({"cells": [{"region_bytes": -4096}]})",
+           R"({"convert": [{"w": 16.5}]})",
+           R"({"convert": [{"mbps": -inf}]})",
+       }) {
+    TuneProfile q;
+    q.memcpy_mbps = 42.0;  // sentinel: must stay untouched on failure
+    EXPECT_FALSE(TuneProfile::from_json(doc, &q)) << doc;
+    EXPECT_DOUBLE_EQ(q.memcpy_mbps, 42.0) << doc;
+  }
+
+  // The representable extremes still parse, exactly.
   TuneProfile q;
-  q.memcpy_mbps = 42.0;  // sentinel: must stay untouched on failure
-  EXPECT_FALSE(TuneProfile::from_json("", &q));
-  EXPECT_FALSE(TuneProfile::from_json("not json at all", &q));
-  EXPECT_FALSE(TuneProfile::from_json("{\"version\": ", &q));
-  EXPECT_DOUBLE_EQ(q.memcpy_mbps, 42.0);
+  ASSERT_TRUE(TuneProfile::from_json(
+      R"({"version": -2147483648, "cache_budget_bytes": 18446744073709549568,)"
+      R"( "xor_mbps": 0, "cells": [{"backend": 2147483647, "mbps": 0}]})",
+      &q));
+  EXPECT_EQ(q.version, -2147483647 - 1);
+  EXPECT_EQ(q.cache_budget_bytes, 18446744073709549568u);  // 2^64 - 2048
+  EXPECT_DOUBLE_EQ(q.xor_mbps, 0.0);
+  ASSERT_EQ(q.cells.size(), 1u);
+  EXPECT_EQ(q.cells[0].backend, 2147483647);
 }
 
 TEST(AutotuneProfileTest, TuneFileSaveLoadRoundTrips) {

@@ -1,10 +1,10 @@
 // Codec session-pipeline battery: batch results through submit_encode /
-// submit_decode / submit_update must be byte-identical to serial per-stripe
-// calls across configs x batch sizes x pool widths, including ragged final
-// slices and pools with more lanes than a symbol has bytes; the tuned slice
-// floor must spread a lone costly stripe over the pool; plan-cache and
-// workspace-pool amortization must hold across batches; the workspace
-// cross-code reuse hazard must stay fixed. Also runs under the TSan CI job.
+// submit_decode must be byte-identical to serial per-stripe calls across
+// configs x batch sizes x pool widths, including ragged final slices and
+// pools with more lanes than a symbol has bytes; the tuned slice floor must
+// spread a lone costly stripe over the pool; plan-cache and workspace-pool
+// amortization must hold across batches; the workspace cross-code reuse
+// hazard must stay fixed. Also runs under the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "stair/autotune.h"
 #include "stair/codec.h"
 #include "stair/stair_code.h"
-#include "stair/update_engine.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/workspace_pool.h"
@@ -299,36 +298,6 @@ TEST(CodecPipeline, UnrecoverableMaskCompletesNotOk) {
   EXPECT_EQ(out, data);
 }
 
-TEST(CodecPipeline, UpdateBatchMatchesSerialAcrossMatrix) {
-  for (const auto& c : config_matrix()) {
-    const StairCode code(c.cfg, c.mode);
-    const UpdateEngine engine(code);
-    Codec codec(code, {.min_slice_bytes = 256});
-    const std::size_t count = 7;
-    // 9999 leaves a ragged final slice.
-    for (std::size_t symbol : {std::size_t{4096 + 64}, std::size_t{9999}}) {
-      Batch serial(code, count, symbol, 42);
-      Batch batched(code, count, symbol, 42);
-
-      // One update per stripe (disjoint stripes may run concurrently).
-      std::vector<std::vector<std::uint8_t>> fresh(count, std::vector<std::uint8_t>(symbol));
-      Rng rng(11);
-      std::vector<Codec::Handle> handles;
-      for (std::size_t i = 0; i < count; ++i) {
-        rng.fill(fresh[i]);
-        const std::size_t idx = (i * 3) % code.data_symbol_count();
-        engine.update(serial.stripes[i].view(), idx, fresh[i]);
-        handles.push_back(codec.submit_update(batched.stripes[i].view(), idx, fresh[i]));
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_TRUE(handles[i].ok());
-        ASSERT_EQ(all_bytes(batched.stripes[i].view()), all_bytes(serial.stripes[i].view()))
-            << c.cfg.to_string() << " symbol=" << symbol << " stripe=" << i;
-      }
-    }
-  }
-}
-
 TEST(CodecPipeline, MixedPipelineRoundTrips) {
   const StairConfig cfg{.n = 8, .r = 8, .m = 2, .e = {1, 2}};
   Codec codec(cfg, {.min_slice_bytes = 256});
@@ -398,12 +367,6 @@ TEST(CodecPipeline, SubmitValidatesOnCallerThread) {
   EXPECT_THROW(codec.submit_encode(bad), std::invalid_argument);
   EXPECT_THROW(codec.submit_decode(bad, std::vector<bool>(cfg.n * cfg.r, false)),
                std::invalid_argument);
-
-  std::vector<std::uint8_t> content(512);
-  EXPECT_THROW(codec.submit_update(stripe.view(), codec.code().data_symbol_count(), content),
-               std::invalid_argument);
-  std::vector<std::uint8_t> short_content(100);
-  EXPECT_THROW(codec.submit_update(stripe.view(), 0, short_content), std::invalid_argument);
   codec.wait_all();
 }
 

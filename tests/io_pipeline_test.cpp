@@ -586,6 +586,34 @@ TEST(ManifestHardening, OutOfRangeChunkLineRejected) {
   EXPECT_EQ(st.manifest_errors, 1u);
 }
 
+// The header must agree with itself: stripes == ceil(file_size /
+// stripe_data), and the symbol stays under the block cap. A file_size too
+// large lets a read index past the stripe table and decode pad the output
+// with zeros; one too small underflows the tail stripe's length; a 2^62-byte
+// symbol sizes a staging buffer no allocator can serve.
+TEST(ManifestHardening, InconsistentHeaderRejected) {
+  const StoreCase c = fault_cases()[0];  // 17 data symbols of 512 B per stripe
+  const struct {
+    const char* from;
+    const char* to;
+  } patches[] = {
+      {"file_size 24000", "file_size 240000"},  // 28 stripes' worth, 3 stored
+      {"file_size 24000", "file_size 1000"},    // 1 stripe's worth, 3 stored
+      {"symbol 512", "symbol 4611686018427387904"},
+  };
+  for (const auto& p : patches) {
+    SCOPED_TRACE(p.to);
+    TempDir dir("mheader");
+    encode_store(dir, c, 24 * 1000, 36);
+    patch_manifest(dir, p.from, p.to);
+    EXPECT_THROW(StripeStore::load((dir.path / "store").string()), ManifestError);
+    const auto st = decode_store(dir, c);
+    EXPECT_FALSE(st.ok);
+    EXPECT_NE(st.error.find("manifest"), std::string::npos) << st.error;
+    EXPECT_EQ(st.manifest_errors, 1u);
+  }
+}
+
 // Garbage where a checksum should be (non-numeric token) must fail the parse
 // instead of istream writing a zero and the loop resynchronizing mid-line.
 TEST(ManifestHardening, GarbledChecksumTokenRejected) {

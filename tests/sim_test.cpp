@@ -1,7 +1,8 @@
-// Simulator tests: byte-exact end-to-end recovery through DataPathArray,
-// failure-injection statistics matching the configured models, and the
-// scrubbing model's limits. (Simulated MTTDL against the analytic §7 model
-// lives in cluster_sim_test's agreement battery.)
+// Simulator tests: failure-injection statistics matching the configured
+// models, and the scrubbing model's limits. (Simulated MTTDL against the
+// analytic §7 model lives in cluster_sim_test's agreement battery; byte-exact
+// recovery on real stores in scrub_repair_test, cluster_sim_test's data-path
+// mode and the soak's scrub sweep.)
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 #include <vector>
 
 #include "reliability/sector_models.h"
-#include "sim/array_sim.h"
+#include "sim/failure_injector.h"
 #include "sim/scrubber.h"
 
 namespace stair::sim {
@@ -181,51 +182,6 @@ TEST(FailureInjector, CorrelatedMarginalRateMatchesPSec) {
   }
   const double rate = static_cast<double>(losses) / (trials * n * r);
   EXPECT_NEAR(rate, p_sec, 0.15 * p_sec);
-}
-
-TEST(DataPathArray, EndToEndDeviceAndSectorRecovery) {
-  const StairCode code({.n = 8, .r = 8, .m = 2, .e = {1, 2}});
-  DataPathArray array(code, 6, 512, 123);
-  ASSERT_TRUE(array.verify());
-
-  array.fail_device(1);
-  array.fail_device(6);  // one data device, one parity device
-  // Plus a burst in another chunk of stripe 3, within e = (1,2).
-  std::vector<bool> extra(8 * 8, false);
-  extra[4 * 8 + 3] = true;
-  extra[5 * 8 + 3] = true;
-  array.corrupt(3, extra);
-
-  EXPECT_EQ(array.repair_all(), 0u);
-  EXPECT_TRUE(array.verify());
-}
-
-TEST(DataPathArray, UnrecoverableStripesAreReported) {
-  const StairCode code({.n = 6, .r = 4, .m = 1, .e = {1}});
-  DataPathArray array(code, 3, 256, 321);
-  // Two dead devices with m = 1: stripe 0 unrecoverable.
-  std::vector<bool> mask(6 * 4, false);
-  for (std::size_t i = 0; i < 4; ++i) {
-    mask[i * 6 + 0] = true;
-    mask[i * 6 + 1] = true;
-  }
-  array.corrupt(0, mask);
-  EXPECT_EQ(array.repair_all(), 1u);
-}
-
-TEST(DataPathArray, RepeatedDamageRepairCycles) {
-  const StairCode code({.n = 8, .r = 8, .m = 2, .e = {1, 1, 2}});
-  DataPathArray array(code, 4, 128, 77);
-  FailureInjector inj({SectorModel::kCorrelated, 0.01, 0.9, 1.5}, 78);
-  for (int round = 0; round < 12; ++round) {
-    for (std::size_t s = 0; s < array.stripe_count(); ++s) {
-      auto mask = inj.sample_stripe_mask(8, 8, {});
-      if (!array.code().is_recoverable(mask)) continue;  // skip overload rounds
-      array.corrupt(s, mask);
-    }
-    ASSERT_EQ(array.repair_all(), 0u) << "round " << round;
-    ASSERT_TRUE(array.verify()) << "round " << round;
-  }
 }
 
 TEST(Scrubber, LatentErrorProbabilityLimits) {

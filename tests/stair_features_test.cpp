@@ -1,6 +1,5 @@
-// Tests for the production-path features layered on the core construction:
-// incremental updates (UpdateEngine), degraded reads (schedule slicing), and
-// the decode-plan cache.
+// Tests for the features layered on the core construction: degraded reads
+// (schedule slicing) and the decode-plan cache.
 
 #include <gtest/gtest.h>
 
@@ -9,111 +8,10 @@
 
 #include "stair/plan_cache.h"
 #include "stair/stair_code.h"
-#include "stair/update_analysis.h"
-#include "stair/update_engine.h"
 #include "util/rng.h"
 
 namespace stair {
 namespace {
-
-std::vector<std::uint8_t> all_bytes(const StripeView& view) {
-  std::vector<std::uint8_t> out;
-  for (const auto& r : view.stored) out.insert(out.end(), r.begin(), r.end());
-  for (const auto& r : view.outside_globals) out.insert(out.end(), r.begin(), r.end());
-  return out;
-}
-
-class UpdateEngineTest : public ::testing::TestWithParam<GlobalParityMode> {};
-
-TEST_P(UpdateEngineTest, IncrementalUpdateMatchesFullReencode) {
-  const StairConfig cfg{.n = 8, .r = 6, .m = 2, .e = {1, 2}};
-  const StairCode code(cfg, GetParam());
-  const UpdateEngine engine(code);
-
-  StripeBuffer incremental(code, 32), reencoded(code, 32);
-  std::vector<std::uint8_t> data(incremental.data_size());
-  Rng rng(10);
-  rng.fill(data);
-  incremental.set_data(data);
-  reencoded.set_data(data);
-  code.encode(incremental.view());
-  code.encode(reencoded.view());
-
-  std::vector<std::uint8_t> fresh(32);
-  for (std::size_t idx = 0; idx < code.data_symbol_count(); idx += 5) {
-    rng.fill(fresh);
-    // Path 1: incremental patch.
-    engine.update(incremental.view(), idx, fresh);
-    // Path 2: full re-encode with the updated data.
-    std::memcpy(data.data() + idx * 32, fresh.data(), 32);
-    reencoded.set_data(data);
-    code.encode(reencoded.view());
-    ASSERT_EQ(all_bytes(incremental.view()), all_bytes(reencoded.view()))
-        << "data symbol " << idx;
-  }
-}
-
-TEST_P(UpdateEngineTest, ParityWritesEqualUpdatePenalty) {
-  const StairConfig cfg{.n = 8, .r = 6, .m = 1, .e = {1, 1, 2}};
-  const StairCode code(cfg, GetParam());
-  const UpdateEngine engine(code);
-  const UpdatePenaltyStats stats = update_penalty(code);
-  for (std::size_t idx = 0; idx < code.data_symbol_count(); ++idx)
-    EXPECT_EQ(engine.parity_writes(idx), stats.per_symbol[idx]) << idx;
-}
-
-TEST_P(UpdateEngineTest, UpdatedStripeStillDecodes) {
-  const StairConfig cfg{.n = 8, .r = 6, .m = 2, .e = {1, 2}};
-  const StairCode code(cfg, GetParam());
-  const UpdateEngine engine(code);
-
-  StripeBuffer stripe(code, 16);
-  std::vector<std::uint8_t> data(stripe.data_size());
-  Rng rng(11);
-  rng.fill(data);
-  stripe.set_data(data);
-  code.encode(stripe.view());
-
-  std::vector<std::uint8_t> fresh(16);
-  rng.fill(fresh);
-  engine.update(stripe.view(), 7, fresh);
-  std::memcpy(data.data() + 7 * 16, fresh.data(), 16);
-
-  // Kill two devices + a sector; the incrementally patched parity must carry.
-  std::vector<bool> lost(cfg.n * cfg.r, false);
-  for (std::size_t i = 0; i < cfg.r; ++i) {
-    lost[i * cfg.n + 0] = true;
-    lost[i * cfg.n + 7] = true;
-  }
-  lost[3 * cfg.n + 4] = true;
-  Rng garbage(3);
-  for (std::size_t idx = 0; idx < lost.size(); ++idx)
-    if (lost[idx]) garbage.fill(stripe.view().stored[idx]);
-  ASSERT_TRUE(code.decode(stripe.view(), lost));
-
-  std::vector<std::uint8_t> out(stripe.data_size());
-  stripe.get_data(out);
-  EXPECT_EQ(out, data);
-}
-
-TEST_P(UpdateEngineTest, RejectsBadArguments) {
-  const StairCode code({.n = 6, .r = 4, .m = 1, .e = {1}}, GetParam());
-  const UpdateEngine engine(code);
-  StripeBuffer stripe(code, 16);
-  std::vector<std::uint8_t> wrong(8);
-  EXPECT_THROW(engine.update(stripe.view(), 0, wrong), std::invalid_argument);
-  std::vector<std::uint8_t> right(16);
-  EXPECT_THROW(engine.update(stripe.view(), code.data_symbol_count(), right),
-               std::invalid_argument);
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, UpdateEngineTest,
-                         ::testing::Values(GlobalParityMode::kInside,
-                                           GlobalParityMode::kOutside),
-                         [](const auto& info) {
-                           return info.param == GlobalParityMode::kInside ? "inside"
-                                                                          : "outside";
-                         });
 
 // ---------------------------------------------------------------------------
 // Degraded reads

@@ -1,10 +1,13 @@
 // Structural property tests: the homomorphic property (Theorem A.1), the
-// uneven parity relations (Property 5.1, Figure 8), and update-penalty
-// consistency between the coefficient analysis and actual re-encoding.
+// uneven parity relations (Property 5.1, Figure 8), and the update penalty
+// (§6.3) against a re-encoding oracle in both global-parity modes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "stair/stair_code.h"
@@ -209,36 +212,52 @@ TEST_F(ParityRelationTest, RowParityAboveStairIsRowLocal) {
 
 class UpdatePenaltyTest : public ::testing::TestWithParam<StairConfig> {};
 
+// An oracle for update_penalty that never reads coefficients(): XOR a random
+// nonzero delta into data symbol k, re-encode, and count the parity regions
+// (stored parities plus outside globals) whose bytes changed. The standard
+// method replays coefficients() itself, so only upstairs and downstairs
+// encoding are independent witnesses.
 TEST_P(UpdatePenaltyTest, CoefficientCountsMatchActualReencoding) {
-  const StairCode code(GetParam(), GlobalParityMode::kInside);
-  const UpdatePenaltyStats stats = update_penalty(code);
-  const auto& layout = code.layout();
+  const StairConfig& cfg = GetParam();
+  constexpr std::size_t kSymbol = 16;
+  for (GlobalParityMode mode : {GlobalParityMode::kInside, GlobalParityMode::kOutside}) {
+    const StairCode code(cfg, mode);
+    const StairLayout& layout = code.layout();
+    const std::vector<std::size_t> penalty = update_penalty(code).per_symbol;
+    ASSERT_EQ(penalty.size(), code.data_symbol_count());
+    for (EncodingMethod method : {EncodingMethod::kUpstairs, EncodingMethod::kDownstairs}) {
+      SCOPED_TRACE(std::string(mode == GlobalParityMode::kInside ? "inside " : "outside ") +
+                   (method == EncodingMethod::kUpstairs ? "upstairs" : "downstairs"));
+      StripeBuffer stripe(code, kSymbol);
+      std::vector<std::uint8_t> data(stripe.data_size());
+      Rng rng(3);
+      rng.fill(data);
+      stripe.set_data(data);
+      code.encode(stripe.view(), method);
 
-  StripeBuffer stripe(code, 1);
-  std::vector<std::uint8_t> data(stripe.data_size());
-  Rng rng(3);
-  rng.fill(data);
-  stripe.set_data(data);
-  code.encode(stripe.view());
+      std::vector<std::span<std::uint8_t>> parities = stripe.view().outside_globals;
+      for (std::size_t i = 0; i < cfg.r; ++i)
+        for (std::size_t j = 0; j < cfg.n; ++j)
+          if (!layout.is_data(i, j)) parities.push_back(stripe.symbol(i, j));
 
-  // Flip a handful of data symbols; the number of parity bytes that change
-  // must equal the analytic per-symbol count.
-  for (std::size_t idx = 0; idx < stats.per_symbol.size(); idx += 3) {
-    std::vector<std::uint8_t> before;
-    for (std::uint32_t pid : layout.parity_ids())
-      before.push_back(stripe.symbol(layout.row_of(pid), layout.col_of(pid))[0]);
+      std::vector<std::uint8_t> delta(kSymbol);
+      for (std::size_t k = 0; k < code.data_symbol_count(); ++k) {
+        std::vector<std::vector<std::uint8_t>> before;
+        for (const auto& region : parities) before.emplace_back(region.begin(), region.end());
 
-    data[idx] ^= 0x5a;
-    stripe.set_data(data);
-    code.encode(stripe.view());
+        rng.fill(delta);
+        delta[0] |= 1;
+        const std::uint32_t id = layout.data_ids()[k];
+        auto symbol = stripe.symbol(layout.row_of(id), layout.col_of(id));
+        for (std::size_t b = 0; b < kSymbol; ++b) symbol[b] ^= delta[b];
+        code.encode(stripe.view(), method);
 
-    std::size_t changed = 0;
-    std::size_t p = 0;
-    for (std::uint32_t pid : layout.parity_ids()) {
-      if (stripe.symbol(layout.row_of(pid), layout.col_of(pid))[0] != before[p]) ++changed;
-      ++p;
+        std::size_t changed = 0;
+        for (std::size_t p = 0; p < parities.size(); ++p)
+          changed += !std::equal(parities[p].begin(), parities[p].end(), before[p].begin());
+        EXPECT_EQ(changed, penalty[k]) << "data symbol " << k;
+      }
     }
-    EXPECT_EQ(changed, stats.per_symbol[idx]) << "data symbol " << idx;
   }
 }
 
@@ -258,7 +277,11 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, UpdatePenaltyTest,
     ::testing::Values(StairConfig{.n = 8, .r = 4, .m = 2, .e = {1, 1, 2}},
                       StairConfig{.n = 6, .r = 5, .m = 1, .e = {2}},
-                      StairConfig{.n = 8, .r = 4, .m = 3, .e = {1, 3}}),
+                      StairConfig{.n = 8, .r = 4, .m = 3, .e = {1, 3}},
+                      StairConfig{.n = 8, .r = 6, .m = 1, .e = {1, 1, 2}},
+                      StairConfig{.n = 8, .r = 6, .m = 2, .e = {1, 2}},
+                      StairConfig{.n = 8, .r = 4, .m = 2, .e = {1, 2}},
+                      StairConfig{.n = 6, .r = 4, .m = 1, .e = {1, 2}}),
     [](const auto& info) {
       std::string s = "n" + std::to_string(info.param.n) + "r" + std::to_string(info.param.r) +
                       "m" + std::to_string(info.param.m) + "e";

@@ -1,7 +1,7 @@
 // Randomized soak: seeded sweeps of config x erasure-pattern x batch-size x
 // pool-width driving the Codec session end-to-end (encode -> corrupt ->
-// decode -> update), asserting byte-exactness against the serial reference
-// path on every iteration.
+// decode), asserting byte-exactness against the serial reference path on
+// every iteration.
 //
 // ctest-labeled `soak`: CI runs it PR-short and can run it nightly-long.
 // Iteration count and base seed come from the environment:
@@ -12,13 +12,12 @@
 // Every iteration logs its own derived seed. To reproduce iteration k's
 // failure directly, run STAIR_SOAK_SEED=<logged seed> STAIR_SOAK_ITERS=1 —
 // the first iteration of that seed regenerates the identical config,
-// stripes, erasure patterns, and update, regardless of which k it was.
+// stripes and erasure patterns, regardless of which k it was.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -174,19 +173,6 @@ TEST(StairSoak, SessionEndToEndSweep) {
     for (std::size_t b = 0; b < batch; ++b)
       ASSERT_EQ(stripe_bytes(stripes[b]), stripe_bytes(reference[b]))
           << "decode diverged at stripe " << b;
-
-    // --- one random incremental update vs full re-encode -------------------
-    const std::size_t target = rng.next_below(batch);
-    const std::size_t data_index = rng.next_below(code.data_symbol_count());
-    std::vector<std::uint8_t> fresh(symbol);
-    rng.fill(fresh);
-    codec.submit_update(stripes[target].view(), data_index, fresh).wait();
-    // Reference: splice the new symbol into the data and re-encode serially.
-    std::memcpy(data[target].data() + data_index * symbol, fresh.data(), symbol);
-    reference[target].set_data(data[target]);
-    code.encode(reference[target].view());
-    ASSERT_EQ(stripe_bytes(stripes[target]), stripe_bytes(reference[target]))
-        << "incremental update diverged from re-encode";
 
     codec.wait_all();
   }
