@@ -15,6 +15,7 @@
 
 #include "gf/gf.h"
 #include "util/buffer.h"
+#include "util/env.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -576,8 +577,7 @@ Autotune& Autotune::instance() {
 bool Autotune::enabled() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (enabled_override_ >= 0) return enabled_override_ != 0;
-  const char* env = std::getenv("STAIR_AUTOTUNE");
-  return !(env && std::strcmp(env, "0") == 0);
+  return env_flag("STAIR_AUTOTUNE", true);
 }
 
 void Autotune::ensure() {

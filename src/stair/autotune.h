@@ -22,7 +22,8 @@
 // (STAIR_AUTOTUNE=0, probe failure, unmeasured cells) is always safe.
 //
 // Environment:
-//   STAIR_AUTOTUNE=0   disable: all decisions fall back to the fixed
+//   STAIR_AUTOTUNE=0   disable (also false/no/off; util/env.h throws on a
+//                      typo): all decisions fall back to the fixed
 //                      heuristics (gf::preferred_layout, 4096-byte slice
 //                      floor whatever the job, detected-L2 cache budget).
 //   STAIR_TUNE_FILE    path for the serialized profile (default
@@ -99,7 +100,8 @@ class Autotune {
   /// budget into gf::set_region_cache_budget.
   void ensure();
 
-  /// STAIR_AUTOTUNE != "0" (and not overridden by set_enabled_for_testing).
+  /// STAIR_AUTOTUNE by env_flag (on when unset; a typo throws), unless
+  /// overridden by set_enabled_for_testing.
   bool enabled() const;
 
   /// The active profile (ensure()d first). Unmeasured when disabled.

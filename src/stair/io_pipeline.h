@@ -92,10 +92,10 @@ class IoPipeline {
 
   /// Serves the original-file byte range [offset, offset + out.size()) from
   /// the store without touching stripes outside it (StripeReader::
-  /// read_range): the happy path reads and verifies only the sectors the
-  /// range needs; any miss — a missing/short chunk, a torn sector, a device
-  /// mid-rebuild — sends that stripe through the stripe reader and the
-  /// session plan cache. This is how client reads keep being served
+  /// read_range): per stripe, one transfer per device over the rows the
+  /// range needs, verified; a miss — a missing/short chunk, a torn sector,
+  /// a device mid-rebuild — widens that stripe's read to the whole stripe
+  /// and the session plan cache. This is how client reads keep being served
   /// *during* a device rebuild. Stats.ok is false when the range exceeds the
   /// file or a needed stripe is unrecoverable. `store` is the caller's
   /// already-loaded manifest of `store_dir` (copied into the call's store).

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace stair {
@@ -546,15 +547,6 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   return v;
 }
 
-bool env_bool(const char* name, bool fallback) {
-  const char* raw = std::getenv(name);
-  if (!raw || !*raw) return fallback;
-  const std::string v(raw);
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::runtime_error(std::string(name) + ": invalid value '" + v + "'");
-}
-
 }  // namespace
 
 StorageNode::Options node_options_from_env(StorageNode::Options base) {
@@ -562,7 +554,7 @@ StorageNode::Options node_options_from_env(StorageNode::Options base) {
   base.queue_capacity = env_size("STAIR_NODE_QUEUE", base.queue_capacity);
   base.workers = env_size("STAIR_NODE_WORKERS", base.workers);
   base.batch_limit = env_size("STAIR_NODE_BATCH", base.batch_limit);
-  base.scrub = env_bool("STAIR_NODE_SCRUB", base.scrub);
+  base.scrub = env_flag("STAIR_NODE_SCRUB", base.scrub);
   if (base.tenants == 0) throw std::runtime_error("STAIR_NODE_TENANTS: must be >= 1");
   if (base.queue_capacity == 0) throw std::runtime_error("STAIR_NODE_QUEUE: must be >= 1");
   return base;

@@ -34,8 +34,8 @@
 //
 // start() opens the node's one OpenStore (stair/open_store.h) on the
 // node's engine; workers and the background scrubber borrow it. Reads are
-// served sector-granularly by its StripeReader::read_range — degraded ones
-// (a device mid-rebuild) decode through the session plan cache. A write
+// served by its StripeReader::read_range on the worker itself — degraded
+// ones (a device mid-rebuild) decode through the session plan cache. A write
 // re-encodes its stripe, rewrites all n chunks through the StripeWriter,
 // and installs the new checksums and re-saves the manifest before the ack.
 // Stripe locks order it all: reads shared, writes exclusive, and the

@@ -13,15 +13,15 @@ namespace stair {
 // StripeRing
 // ---------------------------------------------------------------------------
 
-StripeRing::StripeRing(WorkspacePool<StripeSlot>& slots, std::size_t depth)
-    : slots_(slots), depth_(std::max<std::size_t>(depth, 1)) {}
+StripeRing::StripeRing(WorkspacePool<StripeSlot>& slots, std::size_t depth, Stages stages)
+    : slots_(slots), depth_(std::max<std::size_t>(depth, 1)), stages_(stages) {}
 
 StripeRing::~StripeRing() { drain(); }
 
 StripeRing::Lease StripeRing::acquire() {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return in_flight_ < depth_; });
+    wait(lock, [&] { return in_flight_ < depth_; });
     ++in_flight_;
   }
   // The slot returns to the pool before the ring counts the stripe out, so
@@ -47,7 +47,31 @@ void StripeRing::retire() {
 
 void StripeRing::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return in_flight_ == 0; });
+  wait(lock, [&] { return in_flight_ == 0; });
+}
+
+template <typename Ready>
+void StripeRing::wait(std::unique_lock<std::mutex>& lock, Ready ready) {
+  for (;;) {
+    cv_.wait(lock, [&] { return ready() || !staged_.empty(); });
+    if (staged_.empty()) return;
+    std::function<void()> work = std::move(staged_.front());
+    staged_.pop_front();
+    lock.unlock();
+    work();
+    work = nullptr;  // may hold the stripe's last lease, whose retire() locks mu_
+    lock.lock();
+  }
+}
+
+void StripeRing::stage(ThreadPool& pool, std::function<void()> work) {
+  // A kWaiter ring is its caller's completion wait: that thread is blocked
+  // in acquire() or drain() until the stripe retires, so it runs the stage
+  // itself instead of handing it to a parked pool worker.
+  if (stages_ == Stages::kPool) return pool.submit(std::move(work));
+  std::lock_guard<std::mutex> lock(mu_);
+  staged_.push_back(std::move(work));
+  cv_.notify_all();
 }
 
 void StripeRing::fail(std::string message) {
@@ -77,7 +101,8 @@ void StripeRing::tally(IoStats& st) const {
 ChunkStaging::ChunkStaging(io::Engine& engine, const StripeStore& store,
                            std::size_t capacity)
     : engine_(engine),
-      pool_(store.padded_chunk_bytes(), store.staging_alignment(), capacity) {
+      pool_(store.padded_chunk_bytes(), store.staging_alignment(), capacity),
+      devices_(store.cfg.n) {
   // ENOTSUP (thread backend), EBUSY (another store's set is live) or ENOMEM
   // just mean the plain path: the buffers stay aligned and valid either way.
   const auto regions = pool_.regions();
@@ -89,19 +114,22 @@ ChunkStaging::~ChunkStaging() {
   if (registered_) engine_.unregister_buffers();
 }
 
-void ChunkStaging::lease_chunks(StripeSlot& slot, std::size_t devices) {
-  slot.chunks.resize(devices);
-  for (auto& lease : slot.chunks)
-    if (!lease) lease = pool_.acquire();
+IoBuffer& ChunkStaging::chunk(StripeSlot& slot, std::size_t device) {
+  // Sized once, on a fresh slot's first use: later calls must not move the
+  // leases that completions of the same stripe are reading.
+  if (slot.chunks.size() != devices_) slot.chunks.resize(devices_);
+  IoBufferPool::Lease& lease = slot.chunks[device];
+  if (!lease) lease = pool_.acquire();
+  return *lease;
 }
 
-void ChunkStaging::read(int fd, std::uint64_t offset, IoBuffer& chunk, std::size_t bytes,
-                        io::Callback cb) {
-  const std::span<std::uint8_t> buf(chunk.data, bytes);
+void ChunkStaging::read(int fd, std::uint64_t offset, IoBuffer& chunk, std::size_t lo,
+                        std::size_t hi, io::Callback cb) {
+  const std::span<std::uint8_t> buf(chunk.data + lo, hi - lo);
   if (registered_)
-    engine_.read_fixed(fd, offset, buf, chunk.index, std::move(cb));
+    engine_.read_fixed(fd, offset + lo, buf, chunk.index, std::move(cb));
   else
-    engine_.read(fd, offset, buf, std::move(cb));
+    engine_.read(fd, offset + lo, buf, std::move(cb));
 }
 
 void ChunkStaging::write(int fd, std::uint64_t offset, const IoBuffer& chunk,
@@ -117,7 +145,7 @@ void ChunkStaging::write(int fd, std::uint64_t offset, const IoBuffer& chunk,
 // StripeReader
 // ---------------------------------------------------------------------------
 
-/// One stripe read in flight, shared by its n chunk completions; the last
+/// One stripe read in flight, shared by its transfers' completions; the last
 /// verifier hands the lease on to assembly.
 struct StripeReader::Job {
   StripeRing& ring;
@@ -132,28 +160,48 @@ void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, std::size_t st
   const StripeStore& store = open_.store();
   const StairConfig& cfg = store.cfg;
   if (!slot->buf) slot->buf.emplace(codec_.code(), store.symbol_bytes);
-  open_.staging().lease_chunks(*slot, cfg.n);
+  // Rows each device must deliver: all of them, or those holding the wanted
+  // data symbols. Data symbols lie row-major, so a device's wanted rows are
+  // contiguous and one transfer covers them.
+  slot->rows.assign(cfg.n, {0, plan.data ? 0 : cfg.r});
+  if (plan.data)
+    for (std::size_t d = plan.data->first; d < plan.data->second; ++d) {
+      const auto [row, dev] = open_.positions()[d];
+      auto& [first, last] = slot->rows[dev];
+      if (first == last) first = row;
+      first = std::min(first, row);
+      last = std::max(last, row + 1);
+    }
+  const std::size_t reads = static_cast<std::size_t>(std::count_if(
+      slot->rows.begin(), slot->rows.end(), [](const auto& w) { return w.first < w.second; }));
   slot->results.assign(cfg.n, io::Result{});
   slot->sector_bad.assign(cfg.r * cfg.n, 0);
-  slot->pending.store(cfg.n, std::memory_order_relaxed);
+  slot->pending.store(reads, std::memory_order_relaxed);
 
   auto job = std::make_shared<Job>(Job{ring, std::move(slot), stripe, plan, std::move(done)});
-  for (std::size_t j = 0; j < cfg.n; ++j) {
+  // Stop at the last transfer: its completion may assemble the stripe and
+  // hand the slot on before this loop would move to the next device.
+  for (std::size_t j = 0, issued = 0; issued < reads; ++j) {
+    const auto [first, last] = job->slot->rows[j];
+    if (first == last) continue;
+    ++issued;
     auto complete = [this, job, j](const io::Result& r) {
       job->slot->results[j] = r;  // devices are disjoint; the countdown publishes
-      // Verify (r sector hashes) is real work: bounce it onto the codec pool
-      // so engine threads keep completing IO. Per chunk, not per stripe —
-      // the bytes are hashed while still warm. (One whole-stripe verify after
-      // all n reads re-touches the chunks cold, and at depth > 1 rebuild
+      // Verify (a hash per sector) is real work: hand it off so engine
+      // threads keep completing IO. Per device, not per stripe — the bytes
+      // are hashed while still warm. (One whole-stripe verify after all n
+      // reads re-touches the chunks cold, and at depth > 1 rebuild
       // throughput then drops as stripes in flight rise.)
-      codec_.pool().submit([this, job, j] { verify_chunk(*job, j); });
+      job->ring.stage(codec_.pool(), [this, job, j] { verify_chunk(*job, j); });
     };
     const int fd = open_.fds()[j];
-    if (fd < 0 || plan.erase == j)
+    if (fd < 0 || plan.erase == j) {
       complete(io::Result{ENOENT, 0});
-    else
-      open_.staging().read(fd, store.chunk_offset(stripe), *job->slot->chunks[j],
-                           store.padded_chunk_bytes(), std::move(complete));
+    } else {
+      const auto [lo, hi] = store.row_window(first, last);
+      open_.staging().read(fd, store.chunk_offset(stripe), open_.staging().chunk(*job->slot, j),
+                           lo, hi, std::move(complete));
+    }
   }
 }
 
@@ -161,10 +209,12 @@ void StripeReader::verify_chunk(Job& job, std::size_t device) {
   StripeSlot& sl = *job.slot;
   const StripeStore& store = open_.store();
   const std::size_t symbol = store.symbol_bytes;
+  const auto [first, last] = sl.rows[device];
+  const auto [lo, hi] = store.row_window(first, last);
   const io::Result& r = sl.results[device];
-  if (job.plan.erase != device && r.ok() && r.bytes == store.padded_chunk_bytes()) {
+  if (job.plan.erase != device && r.ok() && r.bytes == hi - lo) {
     const std::uint8_t* data = sl.chunks[device]->data;
-    for (std::size_t i = 0; i < store.cfg.r; ++i) {
+    for (std::size_t i = first; i < last; ++i) {
       const std::span<const std::uint8_t> sector(data + i * symbol, symbol);
       const bool bad = content_hash64(sector) != store.sector_checksum(job.stripe, device, i);
       sl.sector_bad[i * store.cfg.n + device] = bad ? 1 : 0;
@@ -186,37 +236,49 @@ void StripeReader::assemble(Job& job) {
   try {
     sl.mask.assign(store.cfg.r * n, false);
     sl.view = sl.buf->view();
-    sl.damaged = false;
+    std::size_t missing = 0, corrupt = 0;
     for (std::size_t j = 0; j < n; ++j) {
+      const auto [first, last] = sl.rows[j];
+      if (first == last) continue;  // a ranged read needs nothing here
+      const auto [lo, hi] = store.row_window(first, last);
       const bool erased = job.plan.erase == j;
       const io::Result& r = sl.results[j];
       if (!erased) ring.bytes_read.fetch_add(r.bytes, std::memory_order_relaxed);
-      if (erased || !r.ok() || r.bytes != store.padded_chunk_bytes()) {
-        // The transfer failed (missing device, EIO, short chunk): nothing in
-        // this chunk can be trusted — erase the whole column.
-        for (std::size_t i = 0; i < store.cfg.r; ++i) sl.mask[i * n + j] = true;
-        if (!erased) {
-          ring.missing.fetch_add(1, std::memory_order_relaxed);
-          sl.damaged = true;
-        }
+      if (erased || !r.ok() || r.bytes != hi - lo) {
+        // The transfer failed (missing device, EIO, short chunk): nothing it
+        // covered can be trusted — erase those rows of the column.
+        for (std::size_t i = first; i < last; ++i) sl.mask[i * n + j] = true;
+        missing += !erased;
         continue;
       }
       // The transfer succeeded: erase exactly the sectors whose content lies
       // (torn write, bit rot) — a sector failure for the code's e coverage
       // instead of one of its m device credits. Verified symbols are used
       // straight from the staging where alignment allows.
-      for (std::size_t i = 0; i < store.cfg.r; ++i) {
+      for (std::size_t i = first; i < last; ++i) {
         if (sl.sector_bad[i * n + j]) {
-          ring.corrupt.fetch_add(1, std::memory_order_relaxed);
+          ++corrupt;
           sl.mask[i * n + j] = true;
-          sl.damaged = true;
         } else if (symbol % 64 == 0) {
           sl.view.stored[i * n + j] = std::span(sl.chunks[j]->data + i * symbol, symbol);
         }
       }
     }
+    const bool erasures = std::find(sl.mask.begin(), sl.mask.end(), true) != sl.mask.end();
+    if (erasures && job.plan.data) {
+      // A wanted sector is missing or lying: widen, in this same call, to the
+      // whole-stripe read — every chunk, the true erasure mask, a decode
+      // through the plan cache — so no ranged read recovers less than it.
+      // Its verdicts are the ones tallied.
+      Plan whole = job.plan;
+      whole.data.reset();
+      read(ring, std::move(job.slot), job.stripe, whole, std::move(job.done));
+      return;
+    }
+    ring.missing.fetch_add(missing, std::memory_order_relaxed);
+    ring.corrupt.fetch_add(corrupt, std::memory_order_relaxed);
+    sl.damaged = missing + corrupt > 0;
     if (sl.damaged) ring.degraded.fetch_add(1, std::memory_order_relaxed);
-    const bool erasures = sl.damaged || job.plan.erase.has_value();
     sl.recovered = !erasures;
     if (!erasures || !job.plan.decode) {
       if (erasures && !codec_.code().is_recoverable(sl.mask))
@@ -257,29 +319,6 @@ void StripeReader::finish(StripeRing& ring, StripeRing::Lease slot, const Done& 
   }
 }
 
-namespace {
-
-/// Per-stripe completion gate for the sector reads of a ranged read: waits
-/// for exactly this stripe's transfers, unlike Engine::flush() which would
-/// also wait out unrelated in-flight IO (a background scrub pass sharing
-/// the engine, rebuild traffic) and so couple foreground latency to it.
-struct CompletionLatch {
-  explicit CompletionLatch(std::size_t n) : remaining(n) {}
-  void done() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (--remaining == 0) cv.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining == 0; });
-  }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining;
-};
-
-}  // namespace
-
 IoStats StripeReader::read_range(std::uint64_t offset, std::span<std::uint8_t> out) {
   const StripeStore& store = open_.store();
   IoStats st;
@@ -294,128 +333,44 @@ IoStats StripeReader::read_range(std::uint64_t offset, std::span<std::uint8_t> o
 
   const std::size_t n = store.cfg.n;
   const std::size_t symbol = store.symbol_bytes;
-  const std::size_t padded = store.padded_chunk_bytes();
-  const std::size_t block = store.block_bytes;
-  // Aligned mode: O_DIRECT chunk fds accept only block-aligned transfers,
-  // so sector reads widen to the enclosing block window inside the padded
-  // chunk (read into an aligned lease, copy out the wanted span). An
-  // unpadded store keeps exact positioned reads.
-  const bool aligned = store.open_mode() == io::OpenMode::kDirect;
   const std::span<const StripeStore::Position> positions = open_.positions();
   const std::size_t stripe_data = positions.size() * symbol;
-
-  std::vector<std::uint8_t> sectors;  // wanted-sector staging, happy path
   const std::size_t first_stripe = offset / stripe_data;
   const std::size_t last_stripe = (offset + out.size() - 1) / stripe_data;
-  for (std::size_t s = first_stripe; s <= last_stripe && st.error.empty(); ++s) {
+  StripeRing ring(open_.slots(), 1, StripeRing::Stages::kWaiter);
+  for (std::size_t s = first_stripe; s <= last_stripe; ++s) {
+    StripeRing::Lease slot = ring.acquire();  // the previous stripe is served
+    if (ring.failed()) break;
     ++st.stripes;
     const std::uint64_t base = std::uint64_t{s} * stripe_data;
     const std::size_t lo = static_cast<std::size_t>(std::max(offset, base) - base);
     const std::size_t hi = static_cast<std::size_t>(
         std::min<std::uint64_t>(offset + out.size(), base + stripe_data) - base);
-    const std::size_t d_lo = lo / symbol;
-    const std::size_t d_hi = (hi - 1) / symbol;
-    const std::size_t count = d_hi - d_lo + 1;
-
-    // Happy path: positioned reads of exactly the sectors the range needs
-    // (widened to block windows in aligned mode), each verified against the
-    // manifest before a byte is copied out.
-    sectors.assign(count * symbol, 0);
-    std::vector<io::Result> results(count);
-    std::vector<IoBufferPool::Lease> window_leases;
-    std::vector<std::pair<std::size_t, std::size_t>> windows;  // {start, len} per k
-    if (aligned) {
-      window_leases.resize(count);
-      windows.resize(count);
-    }
-    {
-      CompletionLatch latch(count);
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto [row, dev] = positions[d_lo + k];
-        const int fd = open_.fds()[dev];
-        if (fd < 0) {
-          results[k] = io::Result{ENOENT, 0};
-          latch.done();
-          continue;
-        }
-        const std::size_t sec_off = row * symbol;
-        auto done = [&results, &latch, k](const io::Result& r) {
-          results[k] = r;
-          latch.done();
-        };
-        if (aligned) {
-          const std::size_t wlo = sec_off / block * block;
-          const std::size_t whi =
-              std::min(padded, (sec_off + symbol + block - 1) / block * block);
-          windows[k] = {wlo, whi - wlo};
-          window_leases[k] = open_.staging().acquire();
-          open_.engine().read(fd, store.chunk_offset(s) + wlo,
-                       std::span(window_leases[k]->data, whi - wlo), std::move(done));
-        } else {
-          open_.engine().read(fd, store.chunk_offset(s) + sec_off,
-                       std::span(sectors.data() + k * symbol, symbol), std::move(done));
-        }
-      }
-      latch.wait();
-    }
-    bool clean = true;
-    for (std::size_t k = 0; k < count; ++k) {
-      const auto [row, dev] = positions[d_lo + k];
-      st.bytes_read += results[k].bytes;
-      const std::size_t expected = aligned ? windows[k].second : symbol;
-      const bool got = results[k].ok() && results[k].bytes == expected;
-      if (got && aligned)
-        std::memcpy(sectors.data() + k * symbol,
-                    window_leases[k]->data + (row * symbol - windows[k].first), symbol);
-      clean = clean && got &&
-              content_hash64(std::span<const std::uint8_t>(sectors.data() + k * symbol,
-                                                           symbol)) ==
-                  store.sector_checksum(s, dev, row);
-    }
-    if (clean) {
-      std::memcpy(out.data() + (base + lo - offset), sectors.data() + (lo - d_lo * symbol),
-                  hi - lo);
-      continue;
-    }
-
-    // Degraded: something the range needs is missing or lying. The stripe
-    // takes the one read path — n chunk reads, per-sector verify, the true
-    // erasure mask, a decode through the session plan cache — and every
-    // reconstructed symbol the range needs must match its manifest checksum
-    // before its bytes are served (read ones were verified on arrival).
-    ++st.degraded_stripes;
-    std::string error;
-    StripeRing ring(open_.slots(), 1);
-    read(ring, ring.acquire(), s, {}, [&](StripeRing::Lease slot) {
-      if (!slot->recovered) {
-        error = "stripe " + std::to_string(s) + " unrecoverable for ranged read";
-        return;
-      }
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto [row, dev] = positions[d_lo + k];
-        if (slot->mask[row * n + dev] &&
-            content_hash64(slot->view.stored[row * n + dev]) !=
-                store.sector_checksum(s, dev, row)) {
-          error = "stripe " + std::to_string(s) + " reconstruction failed verification";
-          return;
-        }
-        const std::size_t sym_lo = std::max(lo, (d_lo + k) * symbol);
-        const std::size_t sym_hi = std::min(hi, (d_lo + k + 1) * symbol);
-        std::memcpy(out.data() + (base + sym_lo - offset),
-                    slot->view.stored[row * n + dev].data() + (sym_lo - (d_lo + k) * symbol),
-                    sym_hi - sym_lo);
-      }
-    });
-    ring.drain();
-    st.bytes_read += ring.bytes_read.load();
-    st.chunks_missing += ring.missing.load();
-    st.sectors_corrupt += ring.corrupt.load();
-    if (ring.failed()) error = "ranged degraded read failed: " + ring.error();
-    if (!error.empty()) {
-      ++st.failed_stripes;
-      st.error = std::move(error);
-    }
+    const std::size_t first = lo / symbol, end = (hi - 1) / symbol + 1;
+    read(ring, std::move(slot), s, {.data = std::pair(first, end)},
+         [&, s, base, lo, hi, first, end](StripeRing::Lease slot) {
+           if (!slot->recovered)
+             return ring.fail("stripe " + std::to_string(s) + " unrecoverable for ranged read");
+           for (std::size_t d = first; d < end; ++d) {
+             const auto [row, dev] = positions[d];
+             const std::span<const std::uint8_t> sym = slot->view.stored[row * n + dev];
+             // Read symbols were verified on arrival; a reconstructed one
+             // must match its manifest checksum before a byte is served.
+             if (slot->mask[row * n + dev] &&
+                 content_hash64(sym) != store.sector_checksum(s, dev, row)) {
+               ring.unrecoverable.fetch_add(1, std::memory_order_relaxed);
+               return ring.fail("stripe " + std::to_string(s) +
+                                " reconstruction failed verification");
+             }
+             const std::size_t sym_lo = std::max(lo, d * symbol);
+             const std::size_t sym_hi = std::min(hi, (d + 1) * symbol);
+             std::memcpy(out.data() + (base + sym_lo - offset), sym.data() + (sym_lo - d * symbol),
+                         sym_hi - sym_lo);
+           }
+         });
   }
+  ring.drain();
+  ring.tally(st);
   st.ok = st.error.empty();
   return st;
 }
@@ -433,12 +388,11 @@ void StripeWriter::write(StripeRing& ring, StripeRing::Lease slot, const StripeV
   const std::size_t symbol = store.symbol_bytes;
   const std::size_t chunk_bytes = store.chunk_bytes();
   const std::size_t padded = store.padded_chunk_bytes();
-  staging.lease_chunks(*slot, cfg.n);
   std::size_t writes = 0;
   for (std::size_t j = 0; j < cfg.n; ++j) {
     if (fds[j] < 0) continue;
     ++writes;
-    std::uint8_t* chunk = slot->chunks[j]->data;
+    std::uint8_t* chunk = staging.chunk(*slot, j).data;
     // Gather the device's r symbols (stripe-contiguous on disk), hashing
     // each while it is warm from the copy.
     for (std::size_t i = 0; i < cfg.r; ++i) {

@@ -5,13 +5,15 @@
 // rebuild and repair, file encode, node writes — does one of two things to
 // a stripe, and each is written exactly once here:
 //
-//   StripeReader: n chunk reads into aligned staging ─▶ each chunk verified
-//     sector by sector on its own completion (hashed while still warm) ─▶
-//     one sector-granular erasure mask (a failed or short transfer erases
-//     its column, a checksum mismatch only its sector; optionally one column
-//     pre-erased for rebuild) ─▶ when asked, a decode through the session
-//     DecodePlanCache, zero-copy over the staging when symbol % 64 == 0 ─▶
-//     callback.
+//   StripeReader: one transfer per device, over every row or, for a ranged
+//     read, the rows holding its data symbols (block-widened on a padded
+//     store) ─▶ each device's rows verified sector by sector on its own
+//     completion (hashed while still warm) ─▶ one sector-granular erasure
+//     mask (a failed or short transfer erases its rows, a checksum mismatch
+//     only its sector; optionally one column pre-erased for rebuild); a
+//     ranged read with a wanted sector erased widens here to the whole
+//     stripe ─▶ when asked, a decode through the session DecodePlanCache,
+//     zero-copy over the staging when symbol % 64 == 0 ─▶ callback.
 //   StripeWriter: gather a StripeView's columns into padded chunk staging
 //     (zeroed tails) ─▶ hash every sector ─▶ the positioned chunk writes
 //     under one countdown ─▶ callback. Manifest updates stay with the caller.
@@ -27,14 +29,17 @@
 // stage retires a stripe by hand. Synchronous callers (ranged reads, node
 // writes) use a ring of depth 1 as their completion wait.
 //
-// Stage work (verify, assembly, gathers) runs on the codec pool, never on
-// an IO completion thread: the single uring reaper in particular must stay
-// free to complete transfers.
+// Stage work (verify, assembly, gathers) never runs on an IO completion
+// thread: the single uring reaper in particular must stay free to complete
+// transfers. It runs on the codec pool, except in read_range's ring, whose
+// caller does nothing but wait for each stripe: there the thread waiting in
+// acquire() or drain() runs it.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -74,7 +79,8 @@ struct StripeSlot {
   std::optional<StripeBuffer> buf;          // encode input / decode target
   std::vector<std::uint8_t> data;           // flat stripe data (file side)
   std::vector<IoBufferPool::Lease> chunks;  // per-device aligned staging
-  std::vector<io::Result> results;          // reader: per-chunk transfer outcome
+  std::vector<std::pair<std::size_t, std::size_t>> rows;  // reader: [first, last) per device
+  std::vector<io::Result> results;          // reader: per-device transfer outcome
   /// Reader: per-sector verdicts at [i * n + j]. Bytes, not vector<bool>:
   /// concurrent verifiers write disjoint columns, which packed bits cannot
   /// do safely. Published to the assembling thread by `pending`.
@@ -82,9 +88,10 @@ struct StripeSlot {
   std::vector<bool> mask;  // reader: erased symbols, pre-erased column included
   /// Reader: the stripe as read — verified symbols in the staging (or buf
   /// at odd symbol sizes), erased ones in buf, reconstructed once recovered.
+  /// A ranged read that did not widen holds only its wanted symbols.
   StripeView view;
   bool damaged = false;    // reader: damage beyond the pre-erased column
-  bool recovered = false;  // reader: view holds the whole stripe
+  bool recovered = false;  // reader: view holds every symbol the plan wants
   std::atomic<std::size_t> pending{0};  // stage countdown (acq_rel)
   std::atomic<int> write_error{0};      // writer: first failed write's errno
 };
@@ -96,8 +103,15 @@ class StripeRing {
  public:
   using Lease = std::shared_ptr<StripeSlot>;
 
+  /// Where stage work runs: on the pool handed to stage(), or on the thread
+  /// blocked in acquire() or drain(). kWaiter is for a ring of depth 1 whose
+  /// caller only waits for each stripe in turn; a caller that does other
+  /// work between stripes (a paced scrub) would leave its stripe unretired.
+  enum class Stages { kPool, kWaiter };
+
   /// At most `depth` stripes in flight, leasing from `slots` (the store's).
-  StripeRing(WorkspacePool<StripeSlot>& slots, std::size_t depth);
+  StripeRing(WorkspacePool<StripeSlot>& slots, std::size_t depth,
+             Stages stages = Stages::kPool);
   ~StripeRing();
 
   StripeRing(const StripeRing&) = delete;
@@ -113,6 +127,8 @@ class StripeRing {
   bool failed() const { return !error().empty(); }
   /// Copies the tallies and the first error into `st`.
   void tally(IoStats& st) const;
+  /// Runs stage work of one of this ring's stripes where `Stages` says.
+  void stage(ThreadPool& pool, std::function<void()> work);
 
   // Tallies, bumped from any thread.
   std::atomic<std::size_t> degraded{0};       // stripes with damage
@@ -123,13 +139,17 @@ class StripeRing {
 
  private:
   void retire();
+  template <typename Ready>  // waits until ready(), running staged work meanwhile
+  void wait(std::unique_lock<std::mutex>& lock, Ready ready);
 
   WorkspacePool<StripeSlot>& slots_;
   const std::size_t depth_;
+  const Stages stages_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::size_t in_flight_ = 0;  // guarded by mu_
-  std::string error_;          // guarded by mu_
+  std::size_t in_flight_ = 0;                  // guarded by mu_
+  std::string error_;                          // guarded by mu_
+  std::deque<std::function<void()>> staged_;  // guarded by mu_; kWaiter only
 };
 
 /// A store's aligned chunk staging: an IoBufferPool sized to its padded
@@ -145,13 +165,12 @@ class ChunkStaging {
   ChunkStaging(const ChunkStaging&) = delete;
   ChunkStaging& operator=(const ChunkStaging&) = delete;
 
-  IoBufferPool::Lease acquire() { return pool_.acquire(); }
-  /// Gives `slot` one chunk lease per device (slots keep theirs warm).
-  void lease_chunks(StripeSlot& slot, std::size_t devices);
+  /// `slot`'s staging for `device`, leased on first use (slots keep theirs).
+  IoBuffer& chunk(StripeSlot& slot, std::size_t device);
 
-  /// Whole-chunk transfers between a lease and a device file: fixed when
-  /// registered, plain otherwise.
-  void read(int fd, std::uint64_t offset, IoBuffer& chunk, std::size_t bytes,
+  /// Transfers between a lease and the chunk at `offset` of a device file
+  /// (fixed when registered): bytes [lo, hi) of both, or the first `bytes`.
+  void read(int fd, std::uint64_t offset, IoBuffer& chunk, std::size_t lo, std::size_t hi,
             io::Callback cb);
   void write(int fd, std::uint64_t offset, const IoBuffer& chunk, std::size_t bytes,
              io::Callback cb);
@@ -159,40 +178,45 @@ class ChunkStaging {
  private:
   io::Engine& engine_;
   IoBufferPool pool_;
+  const std::size_t devices_;
   bool registered_ = false;
 };
 
 class StripeReader {
  public:
-  /// Runs once the stripe is read, verified and (when asked) decoded, on a
-  /// codec pool thread (inline on zero-worker pools). The lease keeps the
-  /// stripe in its ring until released.
+  /// Runs once the stripe is read, verified and (when asked) decoded, where
+  /// the ring runs stage work or on the codec thread that finished the
+  /// decode. The lease keeps the stripe in its ring until released.
   using Done = std::function<void(StripeRing::Lease)>;
 
   struct Plan {
     /// Column treated as erased without being read (the rebuild target).
-    std::optional<std::size_t> erase;
+    std::optional<std::size_t> erase = std::nullopt;
     /// Reconstruct a stripe with erasures. false: verify and tally only
     /// (detect-only scrub; coverage is still checked).
     bool decode = true;
+    /// Data symbols [first, end), first < end, wanted (data order), else the
+    /// whole stripe: only their rows are read, and one missing or lying
+    /// widens the read.
+    std::optional<std::pair<std::size_t, std::size_t>> data = std::nullopt;
   };
 
   /// The reader of `store`'s stripes, built by the store itself.
   StripeReader(Codec& codec, OpenStore& store) : codec_(codec), open_(store) {}
 
-  /// Reads stripe `stripe` into the slot's staging and runs `done`. Tallies
-  /// land on `ring`; the slot's view/mask/damaged/recovered carry the
-  /// verdict. Damage outside the code's coverage is counted, never thrown.
+  /// Reads what `plan` asks of stripe `stripe` into the slot's staging and
+  /// runs `done`: the only code that issues a stripe's read transfers.
+  /// Tallies land on `ring`; the slot's view/mask/damaged/recovered carry
+  /// the verdict. Damage outside the code's coverage is counted, not thrown.
   void read(StripeRing& ring, StripeRing::Lease slot, std::size_t stripe, Plan plan,
             Done done);
 
   /// Serves original-file bytes [offset, offset + out.size()) from the
-  /// store without touching stripes outside it. The happy path reads only
-  /// the sectors the range needs and verifies each against the manifest;
-  /// any miss sends that stripe through read() and the plan cache, and
-  /// every reconstructed symbol the range needs is checked against the
-  /// manifest before its bytes are served. Runs on the store's own fds, so a
-  /// call opens nothing. Thread-safe.
+  /// store without touching stripes outside it: one read() per stripe of
+  /// the data symbols the range covers, and every reconstructed symbol the
+  /// range needs is checked against the manifest before its bytes are
+  /// served. Runs on the store's own fds, so a call opens nothing.
+  /// Thread-safe.
   IoStats read_range(std::uint64_t offset, std::span<std::uint8_t> out);
 
   /// Decode jobs this reader has in flight (what the Scrubber's idle gate

@@ -89,6 +89,13 @@ struct StripeStore {
   std::uint64_t chunk_offset(std::size_t stripe) const {
     return std::uint64_t{stripe} * padded_chunk_bytes();
   }
+  /// Bytes [lo, hi) of a chunk one transfer of rows [first, last) covers:
+  /// block-widened within the padded chunk, so rows [0, r) are all of it.
+  std::pair<std::size_t, std::size_t> row_window(std::size_t first, std::size_t last) const {
+    return {first * symbol_bytes / block_bytes * block_bytes,
+            std::min(padded_chunk_bytes(),
+                     (last * symbol_bytes + block_bytes - 1) / block_bytes * block_bytes)};
+  }
   /// Alignment for chunk staging buffers: the layout block, at least a
   /// cache line (the region kernels' alignment).
   std::size_t staging_alignment() const { return std::max<std::size_t>(block_bytes, 64); }

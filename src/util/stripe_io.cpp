@@ -22,6 +22,8 @@
 #include <sys/syscall.h>
 #endif
 
+#include "util/env.h"
+
 namespace stair::io {
 
 const char* backend_name(Backend b) {
@@ -45,19 +47,6 @@ Backend backend_from_env() {
 }
 
 namespace {
-
-/// Strict boolean env parse: unset/empty -> false, 1/true/yes/on -> true,
-/// 0/false/no/off -> false, anything else throws. A typo in an IO-mode knob
-/// must not silently run the wrong benchmark configuration.
-bool truthy_env(const char* name) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return false;
-  const std::string_view s(v);
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  throw std::runtime_error(std::string(name) + ": unknown value \"" + std::string(s) +
-                           "\" (expected 1/true/yes/on or 0/false/no/off)");
-}
 
 IoPhase& phase_slot() {
   thread_local IoPhase phase = IoPhase::kForeground;
@@ -105,9 +94,9 @@ int open_with_mode(const char* path, int flags, OpenMode mode,
 
 }  // namespace
 
-bool direct_from_env() { return truthy_env("STAIR_IO_DIRECT"); }
+bool direct_from_env() { return env_flag("STAIR_IO_DIRECT", false); }
 
-bool sqpoll_from_env() { return truthy_env("STAIR_IO_SQPOLL"); }
+bool sqpoll_from_env() { return env_flag("STAIR_IO_SQPOLL", false); }
 
 IoPhase current_phase() { return phase_slot(); }
 

@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "gf/kernel.h"
@@ -113,6 +115,31 @@ TEST(AutotuneDecisionTest, FallbacksDeferToFixedHeuristics) {
   gf::force_layout(gf::RegionLayout::kStandard);
   EXPECT_EQ(tuner.choose_layout(16, 100.0, 65536), gf::RegionLayout::kStandard);
   gf::reset_layout();
+}
+
+// Every off spelling of STAIR_AUTOTUNE disables the tuner, unset or empty
+// leaves it on, and a typo throws instead of leaving it on in silence: the
+// parse STAIR_IO_DIRECT, STAIR_IO_SQPOLL and STAIR_NODE_SCRUB share.
+TEST(AutotuneDecisionTest, EnvSwitchParsesStrictly) {
+  TunerGuard guard;
+  auto& tuner = Autotune::instance();
+  const char* prev = std::getenv("STAIR_AUTOTUNE");
+  const std::optional<std::string> saved = prev ? std::optional<std::string>(prev) : std::nullopt;
+  for (const char* off : {"0", "false", "no", "off"}) {
+    ::setenv("STAIR_AUTOTUNE", off, 1);
+    EXPECT_FALSE(tuner.enabled()) << off;
+  }
+  for (const char* on : {"1", "true", "yes", "on", ""}) {
+    ::setenv("STAIR_AUTOTUNE", on, 1);
+    EXPECT_TRUE(tuner.enabled()) << "'" << on << "'";
+  }
+  for (const char* typo : {"flase", "OFF", "0 ", "disable"}) {
+    ::setenv("STAIR_AUTOTUNE", typo, 1);
+    EXPECT_THROW(tuner.enabled(), std::runtime_error) << typo;
+  }
+  ::unsetenv("STAIR_AUTOTUNE");
+  EXPECT_TRUE(tuner.enabled());
+  if (saved) ::setenv("STAIR_AUTOTUNE", saved->c_str(), 1);
 }
 
 TEST(AutotuneDecisionTest, SliceThresholdScalesWithMeasuredRates) {

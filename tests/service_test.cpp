@@ -5,7 +5,8 @@
 // flood), multi-tenant fairness (a flooding tenant cannot starve another's
 // reads), priority (queued reads dispatch ahead of queued scans), degraded
 // serving during device loss, scrub-while-serving integration (a repair
-// never rolls back a node write), and the TSan-watched races: concurrent
+// never rolls back a node write, a scrub yielding to a write never holds
+// the write's stripe), and the TSan-watched races: concurrent
 // submitters, reader-vs-writer on one stripe, scrub vs node writes, stats()
 // vs everything.
 
@@ -561,6 +562,40 @@ TEST(ServiceTest, ScrubRepairNeverRollsBackANodeWrite) {
   const std::vector<std::uint8_t> decoded{std::istreambuf_iterator<char>(in),
                                           std::istreambuf_iterator<char>()};
   EXPECT_EQ(decoded, data);
+  node.stop();
+}
+
+// Before each stripe the scrubber yields to foreground work for up to
+// max_stall, while the stripe it issued last is still shared-locked. That
+// stripe must retire without waiting for the walk thread, or a write to it
+// waits out the whole stall the write itself caused. With one stripe in
+// flight and a 2 s stall, rewriting each stripe in turn never takes 1 s.
+TEST(ServiceTest, ScrubYieldingToAWriteDoesNotHoldItsStripe) {
+  TempDir dir("scrub_yield");
+  Codec codec(kCfg);
+  const std::size_t stripe_data = codec.code().data_symbol_count() * kSymbol;
+  encode_store(dir, 4 * stripe_data, 23);
+
+  StorageNode::Options opts{.tenants = 1, .workers = 2, .scrub = true};
+  opts.scrub_options.stripes_in_flight = 1;
+  opts.scrub_options.max_stall = std::chrono::seconds(2);
+  StorageNode node(codec, store_dir(dir), opts);
+  node.start();
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (node.stats().scrub.stripes_scanned == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  std::vector<std::uint8_t> fresh(stripe_data);
+  Rng(24).fill(fresh);
+  for (std::size_t i = 0; i < 24; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const Response w = node.submit(write_req(0, i % 4, fresh)).wait();
+    ASSERT_TRUE(w.ok) << w.error;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "write " << i << " to stripe " << i % 4;
+  }
+  node.drain();
+  EXPECT_GT(node.stats().scrub.stripes_scanned, 0u);
   node.stop();
 }
 

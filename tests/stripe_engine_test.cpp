@@ -5,8 +5,9 @@
 // agree on the bytes, the degraded-stripe count and the unrecoverable
 // verdict, and must each open chunk files the way the layout says (O_DIRECT
 // on a padded store, buffered on an unpadded one, whatever STAIR_IO_DIRECT
-// says). Plus the plan-cache contract of degraded ranged reads: one failure
-// epoch, one inversion.
+// says). Plus the plan-cache contract of degraded ranged reads (one failure
+// epoch, one inversion), the transfers a ranged read issues, and what each
+// path does with a reconstruction that fails its own checksum.
 
 #include <gtest/gtest.h>
 
@@ -256,6 +257,89 @@ TEST(StripeEngine, DegradedRangedReadsInvertOncePerFailureEpoch) {
     }
   }
   EXPECT_EQ(codec.plan_cache().misses(), 1u);
+}
+
+// A ranged read costs one transfer per device holding the data symbols it
+// wants, on either layout. A wanted sector that is torn, or whose device is
+// lost, adds one whole-stripe read: a transfer per present device.
+TEST(StripeEngine, RangedReadIssuesOneTransferPerDevice) {
+  for (const bool padded : {false, true}) {
+    SCOPED_TRACE(padded ? "padded" : "unpadded");
+    TempDir dir("transfers");
+    const auto data = encode_store(dir, 62, padded);
+    const StripeStore store = StripeStore::load(dir.store());
+    Codec codec(kCfg);
+    const auto positions = StripeStore::data_positions(codec.code().layout());
+    IoPipeline pipeline(codec);
+    // Transfers a read of data symbols [d, d + count) of stripe 0 submits.
+    auto transfers = [&](std::size_t d, std::size_t count, std::size_t degraded) {
+      std::vector<std::uint8_t> out(count * kSymbol);
+      const std::uint64_t before = pipeline.engine().stats().reads;
+      const auto st = pipeline.read_range(store, dir.store(), d * kSymbol, out);
+      EXPECT_TRUE(st.ok) << st.error;
+      EXPECT_EQ(st.degraded_stripes, degraded);
+      EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                             data.begin() + static_cast<std::ptrdiff_t>(d * kSymbol)));
+      return pipeline.engine().stats().reads - before;
+    };
+    // Data indices 0-11 are rows 0-1 of the six data devices.
+    EXPECT_EQ(transfers(0, 12, 0), 6u);
+    EXPECT_EQ(transfers(7, 1, 0), 1u);
+
+    const auto [row, dev] = positions[3];
+    tear_sector(dir, store, 0, row, dev);
+    EXPECT_EQ(transfers(0, 12, 1), 6u + kCfg.n);
+    EXPECT_EQ(transfers(3, 1, 1), 1u + kCfg.n);
+    EXPECT_EQ(transfers(7, 1, 0), 1u) << "a torn sector the read does not want";
+
+    ASSERT_EQ(positions[0].second, 0u);
+    ASSERT_TRUE(fs::remove(StripeStore::device_path(dir.store(), 0)));
+    EXPECT_EQ(transfers(0, 12, 1), 5u + (kCfg.n - 1));
+  }
+}
+
+// A manifest checksum that lies about a data sector: the stored bytes fail
+// verify, the decode rebuilds the true bytes, and those fail the same
+// checksum. read_range and a repairing scrub refuse to serve or write them.
+// decode_file checks the whole file's data hash instead, which the true
+// bytes match, so it serves them: the three verdicts do not agree yet.
+TEST(StripeEngine, ReconstructionFailingItsChecksumIsRefused) {
+  for (const bool padded : {false, true}) {
+    SCOPED_TRACE(padded ? "padded" : "unpadded");
+    TempDir dir("liar");
+    const auto data = encode_store(dir, 63, padded);
+    Codec codec(kCfg);
+    const auto positions = StripeStore::data_positions(codec.code().layout());
+    const std::size_t stripe = 1, d = 4;
+    {
+      StripeStore store = StripeStore::load(dir.store());
+      const auto [row, dev] = positions[d];
+      store.sector_checksums[(stripe * kCfg.n + dev) * kCfg.r + row] ^= 1;
+      store.save(dir.store());
+    }
+
+    IoPipeline pipeline(codec);
+    std::vector<std::uint8_t> out(kSymbol);
+    const auto rr =
+        pipeline.read_range(dir.store(), (stripe * positions.size() + d) * kSymbol, out);
+    EXPECT_FALSE(rr.ok);
+    EXPECT_NE(rr.error.find("reconstruction failed verification"), std::string::npos)
+        << rr.error;
+    EXPECT_EQ(rr.failed_stripes, 1u);
+
+    Scrubber scrubber(codec, {.repair = true});
+    const ScrubReport rep = scrubber.scrub(dir.store());
+    EXPECT_TRUE(rep.ok) << rep.error;
+    EXPECT_EQ(rep.sectors_corrupt, 1u);
+    EXPECT_EQ(rep.repair_failures, 1u);
+    EXPECT_EQ(rep.sectors_repaired, 0u);
+    EXPECT_EQ(rep.bytes_written, 0u);
+
+    const auto dec = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
+    EXPECT_TRUE(dec.ok) << dec.error;
+    EXPECT_EQ(dec.degraded_stripes, 1u);
+    EXPECT_EQ(read_all(dir.path / "out.bin"), data);
+  }
 }
 
 }  // namespace
