@@ -28,8 +28,6 @@
 // A malformed or out-of-range argument prints usage and exits 2.
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -44,21 +42,12 @@
 #include "stair/update_analysis.h"
 #include "util/table.h"
 
+#include "cli_args.h"
+
 using namespace stair;
 using namespace stair::reliability;
 
 namespace {
-
-// Reads argv[i] when present (absent keeps the default). The whole argument
-// must parse and a number must be finite: a typo is a usage error, never a
-// silent zero.
-template <typename T>
-bool read_arg(int argc, char** argv, int i, T* out) {
-  if (i >= argc) return true;
-  const char* end = argv[i] + std::strlen(argv[i]);
-  const auto [stop, err] = std::from_chars(argv[i], end, *out);
-  return err == std::errc{} && stop == end && std::isfinite(static_cast<double>(*out));
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr,

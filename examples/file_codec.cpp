@@ -12,7 +12,8 @@
 // chunk (a torn write / latent sector error, caught by the checksums).
 // decode reconstructs the original file from whatever survives, serving
 // damaged stripes through the Codec session's plan cache — the degraded-read
-// path.
+// path. A malformed number, or arguments that make no valid code, print
+// usage and exit 2.
 //
 // All file IO runs through the async stripe-IO pipeline (stair/io_pipeline.h):
 // chunk reads/writes for stripe k+d overlap the coding work for stripe k
@@ -23,15 +24,17 @@
 // per stripe and every workspace passes the session's owner-generation check.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "stair/io_pipeline.h"
 #include "util/rng.h"
+
+#include "cli_args.h"
 
 namespace fs = std::filesystem;
 using namespace stair;
@@ -142,6 +145,15 @@ int self_demo() {
   return 0;
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s encode <input> <dir> [n r m e] | damage <dir> <dev...> |\n"
+               "       %s corrupt <dir> <dev> <stripe> [bytes] | %s decode <dir> <output> |\n"
+               "       %s (self-demo)\n",
+               argv0, argv0, argv0, argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -150,31 +162,32 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "encode" && argc >= 4) {
       StairConfig cfg{.n = 8, .r = 16, .m = 2, .e = {1, 2}};
-      if (argc > 4) cfg.n = std::strtoull(argv[4], nullptr, 10);
-      if (argc > 5) cfg.r = std::strtoull(argv[5], nullptr, 10);
-      if (argc > 6) cfg.m = std::strtoull(argv[6], nullptr, 10);
+      if (!read_arg(argc, argv, 4, &cfg.n) || !read_arg(argc, argv, 5, &cfg.r) ||
+          !read_arg(argc, argv, 6, &cfg.m))
+        return usage(argv[0]);
       if (argc > 7) cfg.e = parse_coverage_list(argv[7]);
       return cmd_encode(argv[2], argv[3], cfg);
     }
     if (cmd == "damage" && argc >= 4) {
       std::vector<std::size_t> devices;
-      for (int i = 3; i < argc; ++i) devices.push_back(std::strtoull(argv[i], nullptr, 10));
+      for (int i = 3; i < argc; ++i)
+        if (!parse_number(argv[i], &devices.emplace_back())) return usage(argv[0]);
       return cmd_damage(argv[2], devices);
     }
     if (cmd == "corrupt" && argc >= 5) {
-      return cmd_corrupt(argv[2], std::strtoull(argv[3], nullptr, 10),
-                         std::strtoull(argv[4], nullptr, 10),
-                         argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 256);
+      std::size_t device = 0, stripe = 0, bytes = 256;
+      if (!read_arg(argc, argv, 3, &device) || !read_arg(argc, argv, 4, &stripe) ||
+          !read_arg(argc, argv, 5, &bytes))
+        return usage(argv[0]);
+      return cmd_corrupt(argv[2], device, stripe, bytes);
     }
     if (cmd == "decode" && argc >= 4) return cmd_decode(argv[2], argv[3]);
+  } catch (const std::invalid_argument& e) {  // a coverage list or code that is no code
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage(argv[0]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr,
-               "usage: %s encode <input> <dir> [n r m e] | damage <dir> <dev...> |\n"
-               "       %s corrupt <dir> <dev> <stripe> [bytes] | %s decode <dir> <output> |\n"
-               "       %s (self-demo)\n",
-               argv[0], argv[0], argv[0], argv[0]);
-  return 2;
+  return usage(argv[0]);
 }

@@ -9,9 +9,7 @@
 // prints usage and exits 2.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -25,18 +23,11 @@
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
+#include "cli_args.h"
+
 using namespace stair;
 
 namespace {
-
-// Reads argv[i] when present (absent keeps the default). The whole argument
-// must be plain decimal digits: a typo is a usage error, never a silent 0.
-bool read_arg(int argc, char** argv, int i, std::size_t* out) {
-  if (i >= argc) return true;
-  const char* end = argv[i] + std::strlen(argv[i]);
-  const auto [stop, err] = std::from_chars(argv[i], end, *out);
-  return err == std::errc{} && stop == end;
-}
 
 int usage(const char* argv0) {
   std::fprintf(stderr, "usage: %s [n=16] [r=16] [m=2] [e=1,2] [stripe_mb=32, 1..1024]\n",

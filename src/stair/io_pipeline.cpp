@@ -156,10 +156,7 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
   if (!open_store) return st;
   const StripeStore& store = open_store->store();
   const std::span<const StripeStore::Position> positions = open_store->positions();
-  const StairConfig& cfg = store.cfg;
-  const std::size_t symbol = store.symbol_bytes;
-  const std::size_t stripe_data = positions.size() * symbol;
-  std::vector<std::uint64_t> stripe_hashes(store.stripes, 0);
+  const std::size_t stripe_data = positions.size() * store.symbol_bytes;
 
   const int out_fd = engine_->open_write(output_path);
   if (out_fd < 0) {
@@ -168,25 +165,12 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
   }
 
   StripeRing ring(open_store->slots(), options_.queue_depth);
+  // The reader hands each stripe's file bytes over proven: read and
+  // verified, or reconstructed and matching their manifest checksums.
   auto write_data = [&](StripeRing::Lease slot, std::size_t s) {
-    if (!slot->recovered) return;  // outside coverage: counted by the reader
-    const StripeView& view = slot->view;
-    // Fold the stripe's data hash from sector hashes: verified sectors reuse
-    // the manifest value (verification just recomputed it), reconstructed
-    // sectors are hashed fresh — the end-to-end check covers decode output.
-    stripe_hashes[s] = StripeStore::fold_stripe_hash(
-        positions, [&](std::size_t row, std::size_t dev) {
-          return slot->mask[row * cfg.n + dev]
-                     ? content_hash64(view.stored[row * cfg.n + dev])
-                     : store.sector_checksum(s, dev, row);
-        });
-    slot->data.resize(stripe_data);
-    for (std::size_t d = 0; d < positions.size(); ++d) {
-      const auto [row, dev] = positions[d];
-      std::memcpy(slot->data.data() + d * symbol, view.stored[row * cfg.n + dev].data(), symbol);
-    }
-    const std::size_t len = std::min(stripe_data, store.file_size - s * stripe_data);
+    if (!slot->recovered) return;  // counted unrecoverable by the reader
     StripeSlot* raw = slot.get();
+    const std::size_t len = raw->data.size();
     engine_->write(out_fd, s * stripe_data, std::span(raw->data.data(), len),
                    [&ring, slot = std::move(slot), len](const io::Result& r) {
                      ring.bytes_written.fetch_add(r.bytes, std::memory_order_relaxed);
@@ -194,10 +178,14 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
                        ring.fail("output write failed: " + errno_text(r.error));
                    });
   };
-  for (std::size_t s = 0; s < store.stripes && !ring.failed(); ++s)
+  for (std::size_t s = 0; s < store.stripes && !ring.failed(); ++s) {
+    StripeRing::Lease slot = ring.acquire();
+    slot->data.resize(std::min(stripe_data, store.file_size - s * stripe_data));
+    const StripeReader::Plan plan{.out = slot->data};
     open_store->reader().read(
-        ring, ring.acquire(), s, {},
+        ring, std::move(slot), s, plan,
         [&write_data, s](StripeRing::Lease slot) { write_data(std::move(slot), s); });
+  }
   ring.drain();
   // Failed trailing stripes must not shorten the file silently; recoverable
   // content has been written at its exact offsets either way.
@@ -206,6 +194,11 @@ IoPipeline::Stats IoPipeline::decode_file(const std::string& store_dir,
 
   ring.tally(st);
   st.stripes = store.stripes;
+  // Every byte written matched its sector's manifest checksum, so the file
+  // is the manifest's exactly when those checksums fold to its data hash.
+  std::vector<std::uint64_t> stripe_hashes(store.stripes);
+  for (std::size_t s = 0; s < store.stripes; ++s)
+    stripe_hashes[s] = store.stripe_data_hash(s, positions);
   if (st.error.empty()) {
     if (st.failed_stripes) {
       st.error = std::to_string(st.failed_stripes) + " stripe(s) unrecoverable";

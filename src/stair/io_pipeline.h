@@ -8,8 +8,8 @@
 // with no thread ever blocked between the stages:
 //
 //   encode:  read(input chunk k) ──▶ submit_encode ──▶ StripeWriter (n chunks)
-//   decode:  StripeReader (n chunks, verify, mask, plan-cache decode)
-//              ──▶ write(output chunk k)
+//   decode:  StripeReader (n chunks, verify, mask, plan-cache decode,
+//              proof, copy-out) ──▶ write(output chunk k)
 //
 // Both directions are thin clients of the one stripe engine
 // (stair/stripe_engine.h), which decides what a damaged chunk erases and
@@ -85,9 +85,10 @@ class IoPipeline {
   Stats encode_file(const std::string& input_path, const std::string& store_dir);
 
   /// Reassembles the original file from `store_dir` into `output_path`,
-  /// serving degraded stripes through the session plan cache. Stats.ok is
-  /// false when any stripe was unrecoverable or the final checksum failed;
-  /// whatever was recoverable has still been written.
+  /// serving degraded stripes through the session plan cache; the reader
+  /// proves every data sector written (StripeReader::Plan). Stats.ok is
+  /// false when any stripe was unrecoverable or the manifest's checksums do
+  /// not fold to its data checksum; whatever was recoverable is written.
   Stats decode_file(const std::string& store_dir, const std::string& output_path);
 
   /// Serves the original-file byte range [offset, offset + out.size()) from

@@ -163,9 +163,9 @@ ScrubReport Scrubber::run_pass(OpenStore& open, std::optional<std::size_t> rebui
     io::PhaseScope phase(rebuild ? io::IoPhase::kRebuild : io::IoPhase::kScrub);
     open.reader().read(pass.ring, std::move(slot), s, plan,
                        [this, &pass, s, rebuild](StripeRing::Lease slot) {
-                         // Clean stripes, detect-only passes and damage
-                         // outside coverage (counted by the reader) write
-                         // nothing.
+                         // Clean stripes, detect-only passes, damage outside
+                         // coverage and reconstructions the manifest refutes
+                         // (both counted by the reader) write nothing.
                          if (slot->recovered && (slot->damaged || rebuild))
                            repair_stripe(pass, std::move(slot), s);
                        });
@@ -198,20 +198,10 @@ void Scrubber::repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t str
   const std::size_t n = store.cfg.n, r = store.cfg.r;
   const StripeView& view = slot->view;
   const std::vector<bool>& mask = slot->mask;
-  // Re-verify before rewrite: every reconstructed sector must match its
-  // manifest checksum, or the repair writes nothing — a scrubber must never
-  // "repair" a store with bytes it cannot prove.
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < r; ++i)
-      if (mask[i * n + j] &&
-          content_hash64(view.stored[i * n + j]) != store.sector_checksum(stripe, j, i)) {
-        pass.repair_failed.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-
-  // Every device with an erased sector gets its whole padded chunk
-  // rewritten through the writer, on the store's own fds. The writes hold
-  // the lease, so the stripe leaves the ring once the last one retires.
+  // The reader proved every reconstructed sector against its manifest
+  // checksum. Every device with an erased sector gets its whole padded
+  // chunk rewritten through the writer, on the store's own fds. The writes
+  // hold the lease, so the stripe leaves the ring once the last one retires.
   io::PhaseScope phase(io::IoPhase::kRepair);
   std::vector<int> fds(n, -1);
   std::size_t sectors = 0;

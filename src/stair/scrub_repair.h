@@ -8,8 +8,8 @@
 //
 //   scrub:   StripeReader (n chunks, verify each warm, erasure mask)
 //              ├─ clean: retire
-//              └─ hit:  decode via the session DecodePlanCache
-//                         ─▶ re-verify reconstruction against the manifest
+//              └─ hit:  decode via the session DecodePlanCache, every
+//                       reconstructed sector proven against the manifest
 //                         ─▶ rewrite the damaged devices' chunks in place
 //   rebuild: the same walk with one device's column pre-erased and its file
 //            truncated — a bounded-concurrency stream of degraded reads +
@@ -30,12 +30,12 @@
 // on a lock inside an IO or codec-pool callback, whose threads may hold
 // stripe locks themselves.
 //
-// Repair is checked: every reconstructed sector must match its manifest
-// checksum *before* any write is issued. Each device with a damaged sector
-// then has its whole padded chunk rewritten by the StripeWriter (verified
-// sectors in place, reconstructed ones filled in) in one aligned transfer.
-// A repair writes bytes the manifest already describes, so a pass never
-// saves the manifest.
+// Repair is checked: the reader hands a repair its stripe only once every
+// reconstructed sector matches its manifest checksum (else the stripe is
+// unrecoverable). Each device with a damaged sector then has its whole
+// padded chunk rewritten by the StripeWriter (verified sectors in place,
+// reconstructed ones filled in) in one aligned transfer. A repair writes
+// bytes the manifest already describes, so a pass never saves the manifest.
 //
 // scrub(dir), rebuild_device(dir) and start(dir) open a store per pass
 // (read-only for a detect-only scrub). Such a pass coordinates with no one,
@@ -140,11 +140,11 @@ struct ScrubReport {
   std::size_t stripes = 0;                // stripes in the store
   std::size_t stripes_scanned = 0;        // stripes actually walked
   std::size_t stripes_degraded = 0;       // at least one bad sector/chunk
-  std::size_t stripes_unrecoverable = 0;  // damage outside the code's coverage
+  std::size_t stripes_unrecoverable = 0;  // outside coverage, or refuted by the manifest
   std::size_t chunks_missing = 0;         // open/read failure or short chunk
   std::size_t sectors_corrupt = 0;        // checksum mismatches found
   std::size_t sectors_repaired = 0;       // reconstructed, verified, rewritten
-  std::size_t repair_failures = 0;        // reconstruction failed verify/write
+  std::size_t repair_failures = 0;        // repair writes that failed
   std::size_t throttle_stalls = 0;        // times pacing/gating held the walk
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -534,7 +535,8 @@ StorageNode::Stats StorageNode::stats() const {
 
 namespace {
 
-std::size_t env_size(const char* name, std::size_t fallback) {
+std::size_t env_size(const char* name, std::size_t fallback,
+                     std::size_t max = std::numeric_limits<std::size_t>::max()) {
   const char* raw = std::getenv(name);
   if (!raw || !*raw) return fallback;
   // Digits only: strtoull would take a sign or leading space, and "-1"
@@ -542,17 +544,21 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   const char* end = raw + std::strlen(raw);
   std::size_t v = 0;
   const auto [stop, err] = std::from_chars(raw, end, v);
-  if (err != std::errc{} || stop != end)
+  if (err != std::errc{} || stop != end || v > max)
     throw std::runtime_error(std::string(name) + ": invalid value '" + raw + "'");
   return v;
 }
 
+// Counts start() allocates per unit (a thread and a stripe's staging per
+// worker): capped like STAIR_THREADS, so a typo cannot ask for 100,000.
+constexpr std::size_t kMaxCount = 1024;
+
 }  // namespace
 
 StorageNode::Options node_options_from_env(StorageNode::Options base) {
-  base.tenants = env_size("STAIR_NODE_TENANTS", base.tenants);
+  base.tenants = env_size("STAIR_NODE_TENANTS", base.tenants, kMaxCount);
   base.queue_capacity = env_size("STAIR_NODE_QUEUE", base.queue_capacity);
-  base.workers = env_size("STAIR_NODE_WORKERS", base.workers);
+  base.workers = env_size("STAIR_NODE_WORKERS", base.workers, kMaxCount);
   base.batch_limit = env_size("STAIR_NODE_BATCH", base.batch_limit);
   base.scrub = env_flag("STAIR_NODE_SCRUB", base.scrub);
   if (base.tenants == 0) throw std::runtime_error("STAIR_NODE_TENANTS: must be >= 1");

@@ -285,8 +285,8 @@ class StorageNode {
 /// `base` with the STAIR_NODE_* environment overrides applied:
 /// STAIR_NODE_TENANTS, STAIR_NODE_QUEUE (per-tenant capacity),
 /// STAIR_NODE_WORKERS, STAIR_NODE_BATCH (batch_limit), STAIR_NODE_SCRUB
-/// (truthy). Malformed values throw — a typo'd knob must not silently serve
-/// the wrong configuration.
+/// (truthy). Malformed values, and tenants or workers above 1024, throw — a
+/// typo'd knob must not silently serve the wrong configuration.
 StorageNode::Options node_options_from_env(StorageNode::Options base = {});
 
 }  // namespace stair

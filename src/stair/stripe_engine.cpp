@@ -159,13 +159,14 @@ void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, std::size_t st
                         Plan plan, Done done) {
   const StripeStore& store = open_.store();
   const StairConfig& cfg = store.cfg;
-  if (!slot->buf) slot->buf.emplace(codec_.code(), store.symbol_bytes);
+  const std::size_t symbol = store.symbol_bytes;
+  if (!slot->buf) slot->buf.emplace(codec_.code(), symbol);
   // Rows each device must deliver: all of them, or those holding the wanted
   // data symbols. Data symbols lie row-major, so a device's wanted rows are
   // contiguous and one transfer covers them.
-  slot->rows.assign(cfg.n, {0, plan.data ? 0 : cfg.r});
-  if (plan.data)
-    for (std::size_t d = plan.data->first; d < plan.data->second; ++d) {
+  slot->rows.assign(cfg.n, {0, plan.ranged ? 0 : cfg.r});
+  if (plan.ranged)
+    for (std::size_t d = plan.offset / symbol; d * symbol < plan.offset + plan.out.size(); ++d) {
       const auto [row, dev] = open_.positions()[d];
       auto& [first, last] = slot->rows[dev];
       if (first == last) first = row;
@@ -265,13 +266,13 @@ void StripeReader::assemble(Job& job) {
       }
     }
     const bool erasures = std::find(sl.mask.begin(), sl.mask.end(), true) != sl.mask.end();
-    if (erasures && job.plan.data) {
+    if (erasures && job.plan.ranged) {
       // A wanted sector is missing or lying: widen, in this same call, to the
       // whole-stripe read — every chunk, the true erasure mask, a decode
       // through the plan cache — so no ranged read recovers less than it.
-      // Its verdicts are the ones tallied.
+      // It wants the same bytes; its verdicts are the ones tallied.
       Plan whole = job.plan;
-      whole.data.reset();
+      whole.ranged = false;
       read(ring, std::move(job.slot), job.stripe, whole, std::move(job.done));
       return;
     }
@@ -279,11 +280,10 @@ void StripeReader::assemble(Job& job) {
     ring.corrupt.fetch_add(corrupt, std::memory_order_relaxed);
     sl.damaged = missing + corrupt > 0;
     if (sl.damaged) ring.degraded.fetch_add(1, std::memory_order_relaxed);
-    sl.recovered = !erasures;
     if (!erasures || !job.plan.decode) {
       if (erasures && !codec_.code().is_recoverable(sl.mask))
         ring.unrecoverable.fetch_add(1, std::memory_order_relaxed);
-      finish(ring, std::move(job.slot), job.done);
+      finish(job, !erasures);
       return;
     }
     // The mask resolves through the session plan cache: every stripe of a
@@ -291,15 +291,12 @@ void StripeReader::assemble(Job& job) {
     decoding_.fetch_add(1, std::memory_order_relaxed);
     StripeSlot* raw = &sl;
     try {
-      codec_.submit_decode(
-          raw->view, raw->mask,
-          [this, &ring, slot = std::move(job.slot), done = std::move(job.done)](bool ok) mutable {
-            decoding_.fetch_sub(1, std::memory_order_relaxed);
-            // Outside the code's coverage: counted, never thrown.
-            if (!ok) ring.unrecoverable.fetch_add(1, std::memory_order_relaxed);
-            slot->recovered = ok;
-            finish(ring, std::move(slot), done);
-          });
+      codec_.submit_decode(raw->view, raw->mask, [this, job = std::move(job)](bool ok) mutable {
+        decoding_.fetch_sub(1, std::memory_order_relaxed);
+        // Outside the code's coverage: counted, never thrown.
+        if (!ok) job.ring.unrecoverable.fetch_add(1, std::memory_order_relaxed);
+        finish(job, ok);
+      });
     } catch (...) {
       decoding_.fetch_sub(1, std::memory_order_relaxed);
       throw;
@@ -309,13 +306,45 @@ void StripeReader::assemble(Job& job) {
   }
 }
 
-void StripeReader::finish(StripeRing& ring, StripeRing::Lease slot, const Done& done) {
+bool StripeReader::deliver(const Job& job) const {
+  const StripeStore& store = open_.store();
+  const StripeSlot& sl = *job.slot;
+  const Plan& plan = job.plan;
+  const std::size_t n = store.cfg.n, symbol = store.symbol_bytes;
+  // Proves and copies out the plan's bytes. Read sectors were verified on
+  // arrival; a rebuilt one is used only once it matches its manifest
+  // checksum too, so no caller is handed bytes the manifest refutes.
+  auto proven = [&](std::size_t row, std::size_t dev) {
+    return !sl.mask[row * n + dev] || content_hash64(sl.view.stored[row * n + dev]) ==
+                                          store.sector_checksum(job.stripe, dev, row);
+  };
+  if (plan.out.empty()) {
+    for (std::size_t k = 0; k < sl.mask.size(); ++k)
+      if (!proven(k / n, k % n)) return false;
+    return true;
+  }
+  const std::size_t end = plan.offset + plan.out.size();
+  for (std::size_t d = plan.offset / symbol; d * symbol < end; ++d) {
+    const auto [row, dev] = open_.positions()[d];
+    if (!proven(row, dev)) return false;
+    const std::size_t lo = std::max(plan.offset, d * symbol), hi = std::min(end, (d + 1) * symbol);
+    std::memcpy(plan.out.data() + (lo - plan.offset),
+                sl.view.stored[row * n + dev].data() + (lo - d * symbol), hi - lo);
+  }
+  return true;
+}
+
+void StripeReader::finish(Job& job, bool recovered) {
   // Callbacks run on pool and codec completion threads, which must not see
   // an exception: a throwing client stage is the operation's fatal error.
   try {
-    done(std::move(slot));
+    // A reconstruction the manifest refutes counts as damage outside coverage.
+    job.slot->recovered = recovered && deliver(job);
+    if (recovered && !job.slot->recovered)
+      job.ring.unrecoverable.fetch_add(1, std::memory_order_relaxed);
+    job.done(std::move(job.slot));
   } catch (const std::exception& e) {
-    ring.fail(std::string("stripe read stage failed: ") + e.what());
+    job.ring.fail(std::string("stripe read stage failed: ") + e.what());
   }
 }
 
@@ -331,10 +360,7 @@ IoStats StripeReader::read_range(std::uint64_t offset, std::span<std::uint8_t> o
     return st;
   }
 
-  const std::size_t n = store.cfg.n;
-  const std::size_t symbol = store.symbol_bytes;
-  const std::span<const StripeStore::Position> positions = open_.positions();
-  const std::size_t stripe_data = positions.size() * symbol;
+  const std::size_t stripe_data = open_.positions().size() * store.symbol_bytes;
   const std::size_t first_stripe = offset / stripe_data;
   const std::size_t last_stripe = (offset + out.size() - 1) / stripe_data;
   StripeRing ring(open_.slots(), 1, StripeRing::Stages::kWaiter);
@@ -343,31 +369,16 @@ IoStats StripeReader::read_range(std::uint64_t offset, std::span<std::uint8_t> o
     if (ring.failed()) break;
     ++st.stripes;
     const std::uint64_t base = std::uint64_t{s} * stripe_data;
-    const std::size_t lo = static_cast<std::size_t>(std::max(offset, base) - base);
-    const std::size_t hi = static_cast<std::size_t>(
-        std::min<std::uint64_t>(offset + out.size(), base + stripe_data) - base);
-    const std::size_t first = lo / symbol, end = (hi - 1) / symbol + 1;
-    read(ring, std::move(slot), s, {.data = std::pair(first, end)},
-         [&, s, base, lo, hi, first, end](StripeRing::Lease slot) {
-           if (!slot->recovered)
-             return ring.fail("stripe " + std::to_string(s) + " unrecoverable for ranged read");
-           for (std::size_t d = first; d < end; ++d) {
-             const auto [row, dev] = positions[d];
-             const std::span<const std::uint8_t> sym = slot->view.stored[row * n + dev];
-             // Read symbols were verified on arrival; a reconstructed one
-             // must match its manifest checksum before a byte is served.
-             if (slot->mask[row * n + dev] &&
-                 content_hash64(sym) != store.sector_checksum(s, dev, row)) {
-               ring.unrecoverable.fetch_add(1, std::memory_order_relaxed);
-               return ring.fail("stripe " + std::to_string(s) +
-                                " reconstruction failed verification");
-             }
-             const std::size_t sym_lo = std::max(lo, d * symbol);
-             const std::size_t sym_hi = std::min(hi, (d + 1) * symbol);
-             std::memcpy(out.data() + (base + sym_lo - offset), sym.data() + (sym_lo - d * symbol),
-                         sym_hi - sym_lo);
-           }
-         });
+    const std::uint64_t lo = std::max(offset, base);
+    const std::uint64_t hi = std::min<std::uint64_t>(offset + out.size(), base + stripe_data);
+    const Plan plan{.offset = static_cast<std::size_t>(lo - base),
+                    .out = out.subspan(static_cast<std::size_t>(lo - offset),
+                                       static_cast<std::size_t>(hi - lo)),
+                    .ranged = true};
+    read(ring, std::move(slot), s, plan, [&ring, s](StripeRing::Lease slot) {
+      if (!slot->recovered)
+        ring.fail("stripe " + std::to_string(s) + " unrecoverable for ranged read");
+    });
   }
   ring.drain();
   ring.tally(st);

@@ -6,14 +6,16 @@
 // a stripe, and each is written exactly once here:
 //
 //   StripeReader: one transfer per device, over every row or, for a ranged
-//     read, the rows holding its data symbols (block-widened on a padded
+//     read, the rows holding its wanted bytes (block-widened on a padded
 //     store) ─▶ each device's rows verified sector by sector on its own
 //     completion (hashed while still warm) ─▶ one sector-granular erasure
 //     mask (a failed or short transfer erases its rows, a checksum mismatch
 //     only its sector; optionally one column pre-erased for rebuild); a
 //     ranged read with a wanted sector erased widens here to the whole
 //     stripe ─▶ when asked, a decode through the session DecodePlanCache,
-//     zero-copy over the staging when symbol % 64 == 0 ─▶ callback.
+//     zero-copy over the staging when symbol % 64 == 0 ─▶ each rebuilt
+//     sector the plan uses proven against its manifest checksum ─▶ the
+//     wanted bytes copied out ─▶ callback. No caller checks a sector.
 //   StripeWriter: gather a StripeView's columns into padded chunk staging
 //     (zeroed tails) ─▶ hash every sector ─▶ the positioned chunk writes
 //     under one countdown ─▶ callback. Manifest updates stay with the caller.
@@ -59,13 +61,13 @@ class OpenStore;
 
 /// Outcome + counters of one store operation (IoPipeline::Stats). `ok` is
 /// the everything-checks-out bit: no fatal IO error, no unrecoverable
-/// stripe, and (decode) the reassembled data matching the manifest.
+/// stripe, and (decode) the manifest's checksums folding to its data hash.
 struct IoStats {
   bool ok = false;
   std::string error;                 // first fatal error (empty when ok)
   std::size_t stripes = 0;
   std::size_t degraded_stripes = 0;  // reconstructed through the plan cache
-  std::size_t failed_stripes = 0;    // pattern outside the code's coverage
+  std::size_t failed_stripes = 0;    // outside coverage, or rebuilt bytes the manifest refutes
   std::size_t chunks_missing = 0;    // open/read failure or short chunk
   std::size_t sectors_corrupt = 0;   // read fine, sector checksum mismatch
   std::size_t manifest_errors = 0;   // manifest missing/truncated/garbled
@@ -90,8 +92,10 @@ struct StripeSlot {
   /// at odd symbol sizes), erased ones in buf, reconstructed once recovered.
   /// A ranged read that did not widen holds only its wanted symbols.
   StripeView view;
-  bool damaged = false;    // reader: damage beyond the pre-erased column
-  bool recovered = false;  // reader: view holds every symbol the plan wants
+  bool damaged = false;  // reader: damage beyond the pre-erased column
+  /// Reader: every sector the plan uses is proven (verified, or rebuilt and
+  /// matching the manifest) and its bytes are copied out.
+  bool recovered = false;
   std::atomic<std::size_t> pending{0};  // stage countdown (acq_rel)
   std::atomic<int> write_error{0};      // writer: first failed write's errno
 };
@@ -132,7 +136,7 @@ class StripeRing {
 
   // Tallies, bumped from any thread.
   std::atomic<std::size_t> degraded{0};       // stripes with damage
-  std::atomic<std::size_t> unrecoverable{0};  // damage outside coverage
+  std::atomic<std::size_t> unrecoverable{0};  // outside coverage, or refuted
   std::atomic<std::size_t> missing{0};        // failed or short chunk reads
   std::atomic<std::size_t> corrupt{0};        // sectors failing their checksum
   std::atomic<std::uint64_t> bytes_read{0}, bytes_written{0};
@@ -195,28 +199,32 @@ class StripeReader {
     /// Reconstruct a stripe with erasures. false: verify and tally only
     /// (detect-only scrub; coverage is still checked).
     bool decode = true;
-    /// Data symbols [first, end), first < end, wanted (data order), else the
-    /// whole stripe: only their rows are read, and one missing or lying
-    /// widens the read.
-    std::optional<std::pair<std::size_t, std::size_t>> data = std::nullopt;
+    /// Wanted data bytes [offset, offset + out.size()) of the stripe (data
+    /// order), copied into `out` once proven; a stripe not recovered leaves
+    /// `out` partly written. Empty: no bytes, and every reconstructed sector
+    /// is proven instead (a repair rewrites them all).
+    std::size_t offset = 0;
+    std::span<std::uint8_t> out = {};
+    /// Read only the rows holding `out`'s bytes; a wanted sector missing or
+    /// lying widens the read to the whole stripe, for the same bytes.
+    bool ranged = false;
   };
 
   /// The reader of `store`'s stripes, built by the store itself.
   StripeReader(Codec& codec, OpenStore& store) : codec_(codec), open_(store) {}
 
-  /// Reads what `plan` asks of stripe `stripe` into the slot's staging and
-  /// runs `done`: the only code that issues a stripe's read transfers.
-  /// Tallies land on `ring`; the slot's view/mask/damaged/recovered carry
-  /// the verdict. Damage outside the code's coverage is counted, not thrown.
+  /// Reads what `plan` asks of stripe `stripe`, proves and copies out its
+  /// bytes, and runs `done`: the only code that issues a stripe's read
+  /// transfers or checks a reconstruction. Tallies land on `ring`; the
+  /// slot's view/mask/damaged/recovered carry the verdict. Damage outside
+  /// coverage or refuted by the manifest is counted, not thrown.
   void read(StripeRing& ring, StripeRing::Lease slot, std::size_t stripe, Plan plan,
             Done done);
 
   /// Serves original-file bytes [offset, offset + out.size()) from the
-  /// store without touching stripes outside it: one read() per stripe of
-  /// the data symbols the range covers, and every reconstructed symbol the
-  /// range needs is checked against the manifest before its bytes are
-  /// served. Runs on the store's own fds, so a call opens nothing.
-  /// Thread-safe.
+  /// store without touching stripes outside it: one ranged read() per
+  /// stripe, whose plan copies that stripe's share of the range into `out`.
+  /// Runs on the store's own fds, so a call opens nothing. Thread-safe.
   IoStats read_range(std::uint64_t offset, std::span<std::uint8_t> out);
 
   /// Decode jobs this reader has in flight (what the Scrubber's idle gate
@@ -230,7 +238,8 @@ class StripeReader {
 
   void verify_chunk(Job& job, std::size_t device);
   void assemble(Job& job);
-  void finish(StripeRing& ring, StripeRing::Lease slot, const Done& done);
+  bool deliver(const Job& job) const;
+  void finish(Job& job, bool recovered);
 
   Codec& codec_;
   OpenStore& open_;

@@ -161,6 +161,10 @@ StripeStore StripeStore::load(const std::string& dir) {
   };
   std::string key;
   while (in >> key) {
+    // The first chunk line sizes sector_checksums from the header above it,
+    // so no header key may change the geometry after it.
+    if (chunk_lines > 0 && key != "chunk")
+      manifest_fail("header key '" + key + "' after chunk lines");
     if (key == "stair_store") {
       if (manifest_read<int>(in, "version") != 1) manifest_fail("version unsupported");
     } else if (key == "n") {

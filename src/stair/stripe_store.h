@@ -117,22 +117,14 @@ struct StripeStore {
   /// set_data/get_data use, so data index d of stripe k holds original-file
   /// bytes [k * stripe_data + d * symbol, ... + symbol).
   static std::vector<Position> data_positions(const StairLayout& layout);
-  /// A stripe's data hash: its data sectors' hashes folded in data order.
-  /// `hash_of(row, device)` supplies each sector's hash.
-  template <typename HashOf>
-  static std::uint64_t fold_stripe_hash(std::span<const Position> positions,
-                                        HashOf&& hash_of) {
-    std::vector<std::uint64_t> hashes;
-    hashes.reserve(positions.size());
-    for (const auto& [row, dev] : positions) hashes.push_back(hash_of(row, dev));
-    return combine_hashes(hashes);
-  }
-  /// fold_stripe_hash over this manifest's sector checksums for `stripe`.
+  /// A stripe's data hash: its data sectors' manifest checksums folded in
+  /// data order.
   std::uint64_t stripe_data_hash(std::size_t stripe,
                                  std::span<const Position> positions) const {
-    return fold_stripe_hash(positions, [&](std::size_t row, std::size_t dev) {
-      return sector_checksum(stripe, dev, row);
-    });
+    std::vector<std::uint64_t> hashes;
+    hashes.reserve(positions.size());
+    for (const auto& [row, dev] : positions) hashes.push_back(sector_checksum(stripe, dev, row));
+    return combine_hashes(hashes);
   }
 
   static std::string device_path(const std::string& dir, std::size_t device);

@@ -614,6 +614,28 @@ TEST(ManifestHardening, InconsistentHeaderRejected) {
   }
 }
 
+// The first chunk line sizes the checksum table from the header above it.
+// A header key after the chunk lines would change the geometry under a
+// table already sized: `r 8` and a matching file_size appended to a
+// 3-stripe r = 4 store loaded 96 checksums where its stripes index 192.
+TEST(ManifestHardening, HeaderAfterChunkLinesRejected) {
+  const StoreCase c{{.n = 8, .r = 4, .m = 2, .e = {1, 2}, .w = 8}, 256};
+  StairConfig wide = c.cfg;
+  wide.r = 8;
+  TempDir dir("mlate");
+  encode_store(dir, c, 3 * c.cfg.data_symbols_inside() * c.symbol, 37);
+  ASSERT_EQ(StripeStore::load((dir.path / "store").string()).stripes, 3u);
+
+  const fs::path mpath = dir.path / "store" / "manifest.txt";
+  spit(mpath, slurp(mpath) + "r 8\nfile_size " +
+                  std::to_string(3 * wide.data_symbols_inside() * c.symbol) + "\n");
+  EXPECT_THROW(StripeStore::load((dir.path / "store").string()), ManifestError);
+  const auto st = decode_store(dir, c);
+  EXPECT_FALSE(st.ok);
+  EXPECT_NE(st.error.find("manifest"), std::string::npos) << st.error;
+  EXPECT_EQ(st.manifest_errors, 1u);
+}
+
 // Garbage where a checksum should be (non-numeric token) must fail the parse
 // instead of istream writing a zero and the loop resynchronizing mid-line.
 TEST(ManifestHardening, GarbledChecksumTokenRejected) {

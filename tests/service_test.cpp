@@ -720,6 +720,16 @@ TEST(ServiceTest, EnvOverridesParseLoudly) {
       ::setenv(knob, good.c_str(), 1);
     }
   }
+  // At most 1024, the STAIR_THREADS backstop: start() would size a stripe's
+  // staging per worker and start a thread each. Parsing starts neither.
+  for (const char* knob : {"STAIR_NODE_TENANTS", "STAIR_NODE_WORKERS"}) {
+    const std::string good = std::getenv(knob);
+    ::setenv(knob, "1025", 1);
+    EXPECT_THROW(node_options_from_env(), std::runtime_error) << knob;
+    ::setenv(knob, "1024", 1);
+    EXPECT_NO_THROW(node_options_from_env()) << knob;
+    ::setenv(knob, good.c_str(), 1);
+  }
 
   ::setenv("STAIR_NODE_TENANTS", "lots", 1);
   EXPECT_THROW(node_options_from_env(), std::runtime_error);

@@ -298,47 +298,101 @@ TEST(StripeEngine, RangedReadIssuesOneTransferPerDevice) {
   }
 }
 
-// A manifest checksum that lies about a data sector: the stored bytes fail
-// verify, the decode rebuilds the true bytes, and those fail the same
-// checksum. read_range and a repairing scrub refuse to serve or write them.
-// decode_file checks the whole file's data hash instead, which the true
-// bytes match, so it serves them: the three verdicts do not agree yet.
+// A manifest checksum that lies refutes the true bytes: the stored sector
+// fails verify, the decode rebuilds the true bytes, and those fail the same
+// checksum. The reader proves every reconstruction a plan uses, so when the
+// lie is about a data sector, read_range, decode_file and a repairing scrub
+// all refuse that stripe. Reads and decodes use no reconstructed parity
+// sector, so a lie about one still serves every byte, even when the wanted
+// sector is torn too and the read widens. A repair rewrites every
+// reconstructed sector, so it refuses both.
 TEST(StripeEngine, ReconstructionFailingItsChecksumIsRefused) {
+  const std::size_t stripe = 1, d = 4;
   for (const bool padded : {false, true}) {
     SCOPED_TRACE(padded ? "padded" : "unpadded");
-    TempDir dir("liar");
-    const auto data = encode_store(dir, 63, padded);
     Codec codec(kCfg);
-    const auto positions = StripeStore::data_positions(codec.code().layout());
-    const std::size_t stripe = 1, d = 4;
-    {
-      StripeStore store = StripeStore::load(dir.store());
-      const auto [row, dev] = positions[d];
-      store.sector_checksums[(stripe * kCfg.n + dev) * kCfg.r + row] ^= 1;
-      store.save(dir.store());
-    }
-
     IoPipeline pipeline(codec);
-    std::vector<std::uint8_t> out(kSymbol);
-    const auto rr =
-        pipeline.read_range(dir.store(), (stripe * positions.size() + d) * kSymbol, out);
-    EXPECT_FALSE(rr.ok);
-    EXPECT_NE(rr.error.find("reconstruction failed verification"), std::string::npos)
-        << rr.error;
-    EXPECT_EQ(rr.failed_stripes, 1u);
+    const auto positions = StripeStore::data_positions(codec.code().layout());
+    const auto [row, dev] = positions[d];
+    const std::size_t parity = kCfg.n - 1;  // row parity: two erasures in a row decode
+    const std::size_t stripe_data = positions.size() * kSymbol;
+    const std::size_t wanted = stripe * stripe_data + d * kSymbol;
 
-    Scrubber scrubber(codec, {.repair = true});
-    const ScrubReport rep = scrubber.scrub(dir.store());
-    EXPECT_TRUE(rep.ok) << rep.error;
-    EXPECT_EQ(rep.sectors_corrupt, 1u);
-    EXPECT_EQ(rep.repair_failures, 1u);
-    EXPECT_EQ(rep.sectors_repaired, 0u);
-    EXPECT_EQ(rep.bytes_written, 0u);
+    struct Verdicts {
+      IoStats read, decode;
+      ScrubReport scrub;
+      std::vector<std::uint8_t> data, read_bytes, decoded;
+    };
+    // Lies about sector (row, device) of `stripe` (and tears the wanted
+    // sector when asked), then runs every path over the store.
+    auto run = [&](const std::string& name, std::size_t device, bool torn) {
+      TempDir dir(name);
+      Verdicts v;
+      v.data = encode_store(dir, 63, padded);
+      StripeStore store = StripeStore::load(dir.store());
+      store.sector_checksums[(stripe * kCfg.n + device) * kCfg.r + row] ^= 1;
+      store.save(dir.store());
+      if (torn) tear_sector(dir, store, stripe, row, dev);
+      v.read_bytes.resize(kSymbol);
+      v.read = pipeline.read_range(dir.store(), wanted, v.read_bytes);
+      v.decode = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
+      v.decoded = read_all(dir.path / "out.bin");
+      v.scrub = Scrubber(codec, {.repair = true}).scrub(dir.store());
+      return v;
+    };
+    auto exact = [](const Verdicts& v, std::size_t lo, std::size_t hi) {
+      return v.decoded.size() == v.data.size() &&
+             std::equal(v.data.begin() + static_cast<std::ptrdiff_t>(lo),
+                        v.data.begin() + static_cast<std::ptrdiff_t>(hi),
+                        v.decoded.begin() + static_cast<std::ptrdiff_t>(lo));
+    };
+    auto read_exact = [&](const Verdicts& v) {
+      return std::equal(v.read_bytes.begin(), v.read_bytes.end(),
+                        v.data.begin() + static_cast<std::ptrdiff_t>(wanted));
+    };
+    auto scrub_refuses = [](const ScrubReport& rep) {
+      EXPECT_TRUE(rep.ok) << rep.error;
+      EXPECT_EQ(rep.sectors_corrupt, 1u);
+      EXPECT_EQ(rep.stripes_unrecoverable, 1u);
+      EXPECT_EQ(rep.repair_failures, 0u);
+      EXPECT_EQ(rep.sectors_repaired, 0u);
+      EXPECT_EQ(rep.bytes_written, 0u);
+    };
 
-    const auto dec = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
-    EXPECT_TRUE(dec.ok) << dec.error;
-    EXPECT_EQ(dec.degraded_stripes, 1u);
-    EXPECT_EQ(read_all(dir.path / "out.bin"), data);
+    {
+      SCOPED_TRACE("the manifest lies about a data sector");
+      const Verdicts v = run("liar_data", dev, false);
+      EXPECT_FALSE(v.read.ok);
+      EXPECT_EQ(v.read.failed_stripes, 1u);
+      EXPECT_FALSE(v.decode.ok);
+      EXPECT_EQ(v.decode.degraded_stripes, 1u);
+      EXPECT_EQ(v.decode.failed_stripes, 1u);
+      EXPECT_TRUE(exact(v, 0, stripe * stripe_data)) << "stripes before the refused one";
+      EXPECT_TRUE(exact(v, (stripe + 1) * stripe_data, v.data.size())) << "and after it";
+      scrub_refuses(v.scrub);
+    }
+    {
+      SCOPED_TRACE("the manifest lies about a parity sector");
+      const Verdicts v = run("liar_parity", parity, false);
+      EXPECT_TRUE(v.read.ok) << v.read.error;
+      EXPECT_TRUE(read_exact(v));
+      EXPECT_TRUE(v.decode.ok) << v.decode.error;
+      EXPECT_EQ(v.decode.degraded_stripes, 1u);
+      EXPECT_EQ(v.decode.failed_stripes, 0u);
+      EXPECT_TRUE(exact(v, 0, v.data.size()));
+      scrub_refuses(v.scrub);
+    }
+    {
+      SCOPED_TRACE("a parity sector lies and the wanted sector is torn");
+      const Verdicts v = run("liar_parity_torn", parity, true);
+      EXPECT_TRUE(v.read.ok) << v.read.error;
+      EXPECT_EQ(v.read.degraded_stripes, 1u);
+      EXPECT_EQ(v.read.sectors_corrupt, 2u) << "the read widened to the whole stripe";
+      EXPECT_TRUE(read_exact(v));
+      EXPECT_TRUE(v.decode.ok) << v.decode.error;
+      EXPECT_EQ(v.decode.failed_stripes, 0u);
+      EXPECT_TRUE(exact(v, 0, v.data.size()));
+    }
   }
 }
 
