@@ -12,8 +12,8 @@
 // chunk (a torn write / latent sector error, caught by the checksums).
 // decode reconstructs the original file from whatever survives, serving
 // damaged stripes through the Codec session's plan cache — the degraded-read
-// path. A malformed number, or arguments that make no valid code, print
-// usage and exit 2.
+// path. A malformed number, arguments that make no valid code, or a chunk
+// the store does not have print usage and exit 2.
 //
 // All file IO runs through the async stripe-IO pipeline (stair/io_pipeline.h):
 // chunk reads/writes for stripe k+d overlap the coding work for stripe k
@@ -79,6 +79,11 @@ int cmd_damage(const fs::path& dir, const std::vector<std::size_t>& devices) {
 int cmd_corrupt(const fs::path& dir, std::size_t device, std::size_t stripe,
                 std::size_t bytes) {
   const StripeStore store = StripeStore::load(dir.string());
+  if (device >= store.cfg.n || stripe >= store.stripes)
+    throw std::invalid_argument("no chunk (stripe " + std::to_string(stripe) + ", device " +
+                                std::to_string(device) + ") in a store of " +
+                                std::to_string(store.stripes) + " stripes on " +
+                                std::to_string(store.cfg.n) + " devices");
   const std::string path = StripeStore::device_path(dir.string(), device);
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   if (!f) {
@@ -89,7 +94,7 @@ int cmd_corrupt(const fs::path& dir, std::size_t device, std::size_t stripe,
   std::vector<std::uint8_t> garbage(bytes);
   Rng rng(stripe * 1000 + device);
   rng.fill(garbage);
-  f.seekp(static_cast<std::streamoff>(stripe * store.chunk_bytes()));
+  f.seekp(static_cast<std::streamoff>(store.chunk_offset(stripe)));
   f.write(reinterpret_cast<const char*>(garbage.data()),
           static_cast<std::streamsize>(garbage.size()));
   std::printf("corrupted %zu bytes of chunk (stripe %zu, device %zu) in %s\n", bytes,
@@ -182,7 +187,7 @@ int main(int argc, char** argv) {
       return cmd_corrupt(argv[2], device, stripe, bytes);
     }
     if (cmd == "decode" && argc >= 4) return cmd_decode(argv[2], argv[3]);
-  } catch (const std::invalid_argument& e) {  // a coverage list or code that is no code
+  } catch (const std::invalid_argument& e) {  // a bad coverage list, no code, no such chunk
     std::fprintf(stderr, "error: %s\n", e.what());
     return usage(argv[0]);
   } catch (const std::exception& e) {

@@ -19,20 +19,23 @@
 //
 // Node knobs come from the environment (STAIR_NODE_TENANTS, STAIR_NODE_QUEUE,
 // STAIR_NODE_WORKERS, STAIR_NODE_BATCH, STAIR_NODE_SCRUB); malformed values
-// abort loudly rather than serve a misconfigured node.
+// abort loudly rather than serve a misconfigured node. A malformed number on
+// the command line, more than 1024 clients, a negative duration, or
+// arguments that make no valid code print usage and exit 2.
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_args.h"
 #include "stair/io_pipeline.h"
 #include "stair/service.h"
 #include "util/rng.h"
@@ -43,6 +46,8 @@ using namespace stair;
 namespace {
 
 constexpr std::size_t kSymbolBytes = 4096;
+/// Each synthetic client is a thread: the backstop STAIR_NODE_WORKERS has.
+constexpr std::size_t kMaxClients = 1024;
 
 volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
@@ -196,6 +201,15 @@ int self_demo() {
   return 0;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: storage_node encode <input> <dir> [n r m]\n"
+               "       storage_node serve <dir> [clients=4, at most %zu] [seconds=0]\n"
+               "       storage_node    (self-demo)\n",
+               kMaxClients);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -204,25 +218,25 @@ int main(int argc, char** argv) {
     const std::string cmd = argv[1];
     if (cmd == "encode" && (argc == 4 || argc == 7)) {
       StairConfig cfg{.n = 8, .r = 16, .m = 2, .e = {1, 2}};
-      if (argc == 7) {
-        cfg.n = std::strtoull(argv[4], nullptr, 10);
-        cfg.r = std::strtoull(argv[5], nullptr, 10);
-        cfg.m = std::strtoull(argv[6], nullptr, 10);
-      }
+      if (!read_arg(argc, argv, 4, &cfg.n) || !read_arg(argc, argv, 5, &cfg.r) ||
+          !read_arg(argc, argv, 6, &cfg.m))
+        return usage();
       return cmd_encode(argv[2], argv[3], cfg);
     }
     if (cmd == "serve" && argc >= 3 && argc <= 5) {
-      const std::size_t clients = argc >= 4 ? std::strtoull(argv[3], nullptr, 10) : 4;
-      const double seconds = argc >= 5 ? std::strtod(argv[4], nullptr) : 0.0;
+      std::size_t clients = 4;
+      double seconds = 0.0;
+      if (!read_arg(argc, argv, 3, &clients) || !read_arg(argc, argv, 4, &seconds) ||
+          clients > kMaxClients || seconds < 0)
+        return usage();
       return cmd_serve(argv[2], std::max<std::size_t>(1, clients), seconds);
     }
+  } catch (const std::invalid_argument& e) {  // arguments that make no valid code
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr,
-               "usage: storage_node encode <input> <dir> [n r m]\n"
-               "       storage_node serve <dir> [clients=4] [seconds=0]\n"
-               "       storage_node    (self-demo)\n");
-  return 2;
+  return usage();
 }

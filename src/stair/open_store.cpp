@@ -98,12 +98,18 @@ void OpenStore::set_stripe(std::size_t stripe, std::span<const std::uint64_t> ch
             store_.sector_checksums.begin() +
                 static_cast<std::ptrdiff_t>(stripe * store_.cfg.n * store_.cfg.r));
   folds()[stripe] = store_.stripe_data_hash(stripe, positions_);
+  if (stripe < lines_.size()) lines_[stripe].clear();
 }
 
 void OpenStore::save() {
   std::lock_guard<std::mutex> lock(manifest_mu_);
   store_.data_checksum = combine_hashes(folds());
-  store_.save(dir_);
+  // Built on the first save, every entry stale. A throw while formatting
+  // leaves the entry empty, so a later save formats it again.
+  lines_.resize(store_.stripes);
+  for (std::size_t s = 0; s < lines_.size(); ++s)
+    if (lines_[s].empty()) lines_[s] = store_.chunk_lines(s);
+  StripeStore::publish(dir_, store_.manifest_header(), lines_);
 }
 
 std::vector<std::uint64_t>& OpenStore::folds() {

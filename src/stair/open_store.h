@@ -67,9 +67,14 @@ class OpenStore {
   StripeRing::Lease hold_shared(StripeRing::Lease slot, std::size_t stripe);
 
   /// Installs stripe `stripe`'s n * r checksums (StripeWriter order) and its
-  /// data fold; the caller holds the stripe exclusive or is creating the store.
+  /// data fold, and marks its cached manifest lines stale; the caller holds
+  /// the stripe exclusive or is creating the store.
   void set_stripe(std::size_t stripe, std::span<const std::uint64_t> checksums);
-  /// Writes the manifest (atomic temp + rename). Throws on IO failure.
+  /// Writes the manifest through StripeStore::publish (temp file + rename).
+  /// Every stripe's chunk lines stay cached from the first save, so a save
+  /// re-formats only the header and the stripes set_stripe marked stale; it
+  /// still writes the whole text and renames it, a cost that grows with the
+  /// store. Throws on IO failure; a later save publishes the current text.
   void save();
 
  private:
@@ -80,6 +85,7 @@ class OpenStore {
   std::mutex manifest_mu_;
   std::vector<std::uint64_t> stripe_hashes_;  // per-stripe data folds; manifest_mu_
   std::vector<std::uint64_t>& folds();        // caller holds manifest_mu_
+  std::vector<std::string> lines_;  // per-stripe chunk_lines, empty = stale; manifest_mu_
 
   std::mutex lock_mu_;
   std::condition_variable lock_cv_;

@@ -1,12 +1,17 @@
 #include "stair/stripe_store.h"
 
 #include <atomic>
+#include <cerrno>
 #include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
+#include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace stair {
@@ -81,7 +86,61 @@ std::string StripeStore::manifest_path(const std::string& dir) {
   return dir + "/manifest.txt";
 }
 
-void StripeStore::save(const std::string& dir) const {
+std::string StripeStore::manifest_header() const {
+  std::ostringstream out;
+  out << "stair_store 1\n"
+      << "n " << cfg.n << "\nr " << cfg.r << "\nm " << cfg.m << "\ne ";
+  for (std::size_t i = 0; i < cfg.e.size(); ++i) out << (i ? "," : "") << cfg.e[i];
+  if (cfg.e.empty()) out << "-";
+  out << "\nw " << cfg.w << "\nsymbol " << symbol_bytes << "\nblock " << block_bytes
+      << "\nfile_size " << file_size << "\nstripes " << stripes << "\ndata_checksum "
+      << data_checksum << "\n";
+  return out.str();
+}
+
+std::string StripeStore::chunk_lines(std::size_t stripe) const {
+  // Each line is "chunk" and r + 2 numbers, each a space and at most 20 digits.
+  std::string wide(cfg.n * (6 + (cfg.r + 2) * 21), '\0');
+  char* p = wide.data();
+  const auto put = [&p](std::uint64_t value) {
+    *p++ = ' ';
+    p = std::to_chars(p, p + 20, value).ptr;
+  };
+  for (std::size_t j = 0; j < cfg.n; ++j) {
+    p = std::copy_n("chunk", 5, p);
+    put(stripe);
+    put(j);
+    for (std::size_t i = 0; i < cfg.r; ++i) put(sector_checksum(stripe, j, i));
+    *p++ = '\n';
+  }
+  return std::string(wide.data(), p);  // exact size: a live store caches one per stripe
+}
+
+namespace {
+
+/// writev of every byte `iov` covers, at most IOV_MAX entries a call,
+/// resuming after a short write. False on a write error (errno set).
+bool write_all(int fd, std::span<iovec> iov) {
+  while (!iov.empty()) {
+    const ssize_t n =
+        ::writev(fd, iov.data(), static_cast<int>(std::min<std::size_t>(iov.size(), IOV_MAX)));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    auto done = static_cast<std::size_t>(n);
+    for (; !iov.empty() && done >= iov.front().iov_len; iov = iov.subspan(1))
+      done -= iov.front().iov_len;
+    if (done > 0) {  // a short write stopped inside iov.front()
+      iov.front().iov_base = static_cast<char*>(iov.front().iov_base) + done;
+      iov.front().iov_len -= done;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+void StripeStore::publish(const std::string& dir, const std::string& header,
+                          std::span<const std::string> body) {
   // Write-aside + rename: the manifest is the store's recovery point, so it
   // must never be observable half-written. The temp name is unique per call
   // (concurrent savers each rename a complete file; last rename wins).
@@ -90,26 +149,15 @@ void StripeStore::save(const std::string& dir) const {
   const std::string tmp =
       path + ".tmp" + std::to_string(save_seq.fetch_add(1, std::memory_order_relaxed)) +
       "." + std::to_string(static_cast<unsigned long>(::getpid()));
-  std::ofstream out(tmp, std::ios::trunc);
-  if (!out) throw std::runtime_error("StripeStore: cannot write " + tmp);
-  out << "stair_store 1\n"
-      << "n " << cfg.n << "\nr " << cfg.r << "\nm " << cfg.m << "\ne ";
-  for (std::size_t i = 0; i < cfg.e.size(); ++i) out << (i ? "," : "") << cfg.e[i];
-  if (cfg.e.empty()) out << "-";
-  out << "\nw " << cfg.w << "\nsymbol " << symbol_bytes << "\nblock " << block_bytes
-      << "\nfile_size " << file_size << "\nstripes " << stripes << "\ndata_checksum "
-      << data_checksum << "\n";
-  // One line per (stripe, device) chunk: its r sector checksums in row order.
-  for (std::size_t s = 0; s < stripes; ++s)
-    for (std::size_t j = 0; j < cfg.n; ++j) {
-      out << "chunk " << s << " " << j;
-      for (std::size_t i = 0; i < cfg.r; ++i)
-        out << " " << sector_checksums[(s * cfg.n + j) * cfg.r + i];
-      out << "\n";
-    }
-  out.flush();
-  out.close();
-  if (!out) {
+  std::vector<iovec> iov;
+  iov.reserve(1 + body.size());
+  iov.push_back({const_cast<char*>(header.data()), header.size()});
+  for (const std::string& part : body)
+    if (!part.empty()) iov.push_back({const_cast<char*>(part.data()), part.size()});
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) throw std::runtime_error("StripeStore: cannot write " + tmp);
+  const bool written = write_all(fd, iov);
+  if (::close(fd) != 0 || !written) {
     std::remove(tmp.c_str());
     throw std::runtime_error("StripeStore: write failed for " + tmp);
   }
@@ -117,6 +165,13 @@ void StripeStore::save(const std::string& dir) const {
     std::remove(tmp.c_str());
     throw std::runtime_error("StripeStore: cannot publish " + path);
   }
+}
+
+void StripeStore::save(const std::string& dir) const {
+  std::vector<std::string> lines;
+  lines.reserve(stripes);
+  for (std::size_t s = 0; s < stripes; ++s) lines.push_back(chunk_lines(s));
+  publish(dir, manifest_header(), lines);
 }
 
 namespace {

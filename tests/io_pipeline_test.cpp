@@ -675,6 +675,75 @@ TEST(ManifestHardening, CoverageListParsesDigitsOnly) {
     EXPECT_THROW(parse_coverage_list(bad), std::invalid_argument) << "'" << bad << "'";
 }
 
+// --- manifest text ----------------------------------------------------------
+
+// The manifest's exact bytes, which every existing store and the loader rely
+// on: header keys in order, `e` as a comma list, the `block` line, and each
+// chunk line's checksums in plain decimal from 0 to UINT64_MAX.
+TEST(ManifestText, BytesArePinned) {
+  StripeStore store;
+  store.cfg = {.n = 4, .r = 2, .m = 1, .e = {1, 2}, .w = 8};
+  store.symbol_bytes = 256;
+  store.block_bytes = 4096;
+  store.file_size = 1000;
+  store.stripes = 2;
+  store.data_checksum = 42;
+  // Chunk (stripe, device) holds rows 0 and 1 at [(stripe * 4 + device) * 2].
+  store.sector_checksums = {0, 9, 10, UINT64_MAX, 1, 99, 100, 999, 1000, 7, 70, 700, 7000,
+                            12345678901234567890u, 10000000000000000000u, 9999999999999999999u};
+  TempDir dir("mtext");
+  store.save(dir.str());
+  EXPECT_EQ(slurp(StripeStore::manifest_path(dir.str())),
+            "stair_store 1\nn 4\nr 2\nm 1\ne 1,2\nw 8\nsymbol 256\nblock 4096\n"
+            "file_size 1000\nstripes 2\ndata_checksum 42\n"
+            "chunk 0 0 0 9\n"
+            "chunk 0 1 10 18446744073709551615\n"
+            "chunk 0 2 1 99\n"
+            "chunk 0 3 100 999\n"
+            "chunk 1 0 1000 7\n"
+            "chunk 1 1 70 700\n"
+            "chunk 1 2 7000 12345678901234567890\n"
+            "chunk 1 3 10000000000000000000 9999999999999999999\n");
+  const StripeStore back = StripeStore::load(dir.str());
+  EXPECT_EQ(back.sector_checksums, store.sector_checksums);
+  EXPECT_EQ(back.data_checksum, 42u);
+}
+
+// A live store re-formats only the stripes set_stripe changed, so each of
+// its saves must still publish exactly what a full save of the same store
+// writes, and load back to the same checksums, while the checksums' decimal
+// widths change under the cached lines of the other stripes.
+TEST(ManifestText, CachedSaveMatchesFullSave) {
+  const StoreCase c{{.n = 6, .r = 4, .m = 1, .e = {1, 2}, .w = 8}, 256};
+  TempDir dir("mcache");
+  encode_store(dir, c, 40 * c.cfg.data_symbols_inside() * c.symbol, 38);
+  const std::string store_dir = (dir.path / "store").string();
+  const std::string full_dir = (dir.path / "full").string();
+  fs::create_directories(full_dir);
+
+  Codec codec(c.cfg);
+  const auto engine = io::Engine::create(io::Backend::kThreads);
+  OpenStore open(codec, *engine, store_dir, OpenStore::Access::kUpdate, 0);
+  const std::size_t stripes = open.store().stripes;
+  ASSERT_EQ(stripes, 40u);
+  Rng rng(38);
+  std::vector<std::uint64_t> checksums(c.cfg.n * c.cfg.r);
+  for (int round = 0; round < 50; ++round) {
+    SCOPED_TRACE(round);
+    for (std::size_t k = 1 + rng.next_below(3); k > 0; --k) {
+      for (std::uint64_t& sum : checksums) sum = rng.next_u64() >> rng.next_below(64);
+      open.set_stripe(rng.next_below(stripes), checksums);
+    }
+    open.save();
+    open.store().save(full_dir);
+    ASSERT_EQ(slurp(StripeStore::manifest_path(store_dir)),
+              slurp(StripeStore::manifest_path(full_dir)));
+    const StripeStore back = StripeStore::load(store_dir);
+    ASSERT_EQ(back.sector_checksums, open.store().sector_checksums);
+    ASSERT_EQ(back.data_checksum, open.store().data_checksum);
+  }
+}
+
 // --- ranged reads -----------------------------------------------------------
 
 // read_range serves exact byte windows, sector-granular: offsets that are
