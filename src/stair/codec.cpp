@@ -83,7 +83,7 @@ Codec::Codec(StairConfig cfg, Options options)
       code_(owned_code_.get()),
       pool_(options.pool ? options.pool : &ThreadPool::default_pool()),
       options_(options),
-      plan_cache_(*code_, options.plan_cache_capacity) {
+      plan_cache_(*code_) {
   // First construction in the process runs (or loads) the measured probe;
   // afterwards this is a cheap flag check.
   Autotune::instance().ensure();
@@ -93,7 +93,7 @@ Codec::Codec(const StairCode& code, Options options)
     : code_(&code),
       pool_(options.pool ? options.pool : &ThreadPool::default_pool()),
       options_(options),
-      plan_cache_(code, options.plan_cache_capacity) {
+      plan_cache_(code) {
   Autotune::instance().ensure();
 }
 

@@ -57,8 +57,6 @@ struct CodecJob;  // internal job state (codec.cpp)
 class Codec {
  public:
   struct Options {
-    /// Distinct erasure masks the session's decode-plan cache keeps.
-    std::size_t plan_cache_capacity = 64;
     /// Pool to run on; nullptr = the process-wide ThreadPool::default_pool().
     ThreadPool* pool = nullptr;
     /// Range slices average at least this size (slicing overhead would

@@ -86,17 +86,16 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   // is held until then: the ring drains as soon as the last lease goes.
   auto write_stripe = [&](StripeRing::Lease slot, std::size_t s) {
     std::vector<std::uint64_t> checksums(cfg.n * cfg.r);
-    store->writer().write(ring, slot, slot->buf->view(), store->fds(), s, checksums,
-                          [&ring](int err) {
-                            if (err) ring.fail("device write failed: " + errno_text(err));
-                          });
+    store->writer().write(ring, slot, store->fds(), s, checksums, [&ring](int err) {
+      if (err) ring.fail("device write failed: " + errno_text(err));
+    });
     store->set_stripe(s, checksums);
   };
-  auto encode_stripe = [&](StripeRing::Lease slot, std::size_t s) {
+  auto encode_stripe = [&](StripeRing::Lease slot, std::size_t s, std::size_t len) {
     try {
-      slot->buf->set_data(slot->data);
+      store->lay_data(*slot, std::span(slot->data.data(), len));
       StripeSlot* raw = slot.get();
-      codec_.submit_encode(raw->buf->view(), options_.method,
+      codec_.submit_encode(raw->view, options_.method,
                            [&, slot = std::move(slot), s](bool ok) mutable {
                              if (ok)
                                write_stripe(std::move(slot), s);
@@ -109,14 +108,12 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
   };
   for (std::size_t s = 0; s < stripes && !ring.failed(); ++s) {
     StripeRing::Lease slot = ring.acquire();
-    if (!slot->buf) slot->buf.emplace(code, options_.symbol_bytes);
     slot->data.resize(stripe_data);
     const std::size_t offset = s * stripe_data;
     const std::size_t len =
         std::min<std::size_t>(stripe_data, static_cast<std::size_t>(file_size) - offset);
-    std::fill(slot->data.begin() + static_cast<std::ptrdiff_t>(len), slot->data.end(), 0);
     StripeSlot* raw = slot.get();
-    // The continuation (1+ MB set_data + submit) is bounced onto the codec
+    // The continuation (1+ MB lay_data + submit) is bounced onto the codec
     // pool: IO completion threads — the single uring reaper in particular —
     // must stay free to complete transfers, not process stripes.
     engine_->read(in_fd, offset, std::span(raw->data.data(), len),
@@ -127,8 +124,8 @@ IoPipeline::Stats IoPipeline::encode_file(const std::string& input_path,
                                 errno_text(r.error));
                       return;
                     }
-                    codec_.pool().submit([&, slot = std::move(slot), s]() mutable {
-                      encode_stripe(std::move(slot), s);
+                    codec_.pool().submit([&, slot = std::move(slot), s, len]() mutable {
+                      encode_stripe(std::move(slot), s, len);
                     });
                   });
   }

@@ -7,9 +7,11 @@
 // writes), so disk work for stripe k+d overlaps region work for stripe k
 // with no thread ever blocked between the stages:
 //
-//   encode:  read(input chunk k) ──▶ submit_encode ──▶ StripeWriter (n chunks)
-//   decode:  StripeReader (n chunks, verify, mask, plan-cache decode,
-//              proof, copy-out) ──▶ write(output chunk k)
+//   encode:  read(input chunk k) ──▶ its data laid into the slot's chunk
+//              staging ──▶ submit_encode in place ──▶ StripeWriter (n chunks)
+//   decode:  StripeReader (n chunks into the slot's staging, verify, mask,
+//              plan-cache decode in place, proof, copy-out) ──▶ write(output
+//              chunk k)
 //
 // Both directions are thin clients of the one stripe engine
 // (stair/stripe_engine.h), which decides what a damaged chunk erases and

@@ -12,6 +12,10 @@ namespace stair {
 namespace {
 
 StripeStore matching(StripeStore store, const Codec& codec) {
+  if (codec.code().mode() == GlobalParityMode::kOutside)
+    throw std::runtime_error(
+        "a store keeps no global parities outside the stripe: the code uses "
+        "GlobalParityMode::kOutside");
   const std::string mismatch = store.config_mismatch(codec.code().config());
   if (!mismatch.empty()) throw std::runtime_error(mismatch);
   return store;
@@ -90,6 +94,19 @@ StripeRing::Lease OpenStore::hold_shared(StripeRing::Lease slot, std::size_t str
     unlock(stripe, stripe);
     slot.reset();
   });
+}
+
+void OpenStore::lay_data(StripeSlot& slot, std::span<const std::uint8_t> data) {
+  staging_.lease(slot);
+  const std::size_t symbol = store_.symbol_bytes;
+  for (std::size_t d = 0; d < positions_.size(); ++d) {
+    const auto [row, dev] = positions_[d];
+    std::uint8_t* sym = slot.view.stored[row * store_.cfg.n + dev].data();
+    const std::size_t at = std::min(d * symbol, data.size());
+    const std::size_t bytes = std::min(symbol, data.size() - at);
+    if (bytes) std::memcpy(sym, data.data() + at, bytes);
+    std::memset(sym + bytes, 0, symbol - bytes);
+  }
 }
 
 void OpenStore::set_stripe(std::size_t stripe, std::span<const std::uint64_t> checksums) {

@@ -35,7 +35,9 @@ class OpenStore {
 
   /// Opens `store` (`dir`'s manifest, or a new store's geometry), staging
   /// `depth` stripes in flight (0: on demand). Throws std::runtime_error
-  /// when `codec` has another config, or kUpdate/kCreate cannot open a device.
+  /// when `codec` has another config or keeps its global parities outside
+  /// the stripe (a store holds the r * n stored symbols only), or when
+  /// kUpdate/kCreate cannot open a device.
   OpenStore(Codec& codec, io::Engine& engine, std::string dir, StripeStore store,
             Access access, std::size_t depth);
   /// Loads `dir`'s manifest first; a bad one throws ManifestError.
@@ -57,6 +59,10 @@ class OpenStore {
   ChunkStaging& staging() { return staging_; }
   StripeReader& reader() { return reader_; }
   StripeWriter& writer() { return writer_; }
+
+  /// Lays a stripe's data bytes (a short tail zero-padded) into the data
+  /// symbols of `slot`'s chunk staging, where an encode completes it.
+  void lay_data(StripeSlot& slot, std::span<const std::uint8_t> data);
 
   /// Stripe locks: readers hold [lo, hi] shared, a writer its stripe
   /// exclusive, so no read sees a write's bytes or checksums half done.

@@ -196,7 +196,6 @@ ScrubReport Scrubber::run_pass(OpenStore& open, std::optional<std::size_t> rebui
 void Scrubber::repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t stripe) {
   const StripeStore& store = pass.store.store();
   const std::size_t n = store.cfg.n, r = store.cfg.r;
-  const StripeView& view = slot->view;
   const std::vector<bool>& mask = slot->mask;
   // The reader proved every reconstructed sector against its manifest
   // checksum. Every device with an erased sector gets its whole padded
@@ -216,7 +215,7 @@ void Scrubber::repair_stripe(Pass& pass, StripeRing::Lease slot, std::size_t str
       sectors += masked;
   }
   if (sectors > 0)
-    pass.store.writer().write(pass.ring, std::move(slot), view, fds, stripe, {},
+    pass.store.writer().write(pass.ring, std::move(slot), fds, stripe, {},
                               [&pass, sectors](int err) {
                                 if (err)
                                   pass.repair_failed.fetch_add(1, std::memory_order_relaxed);

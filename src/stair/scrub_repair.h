@@ -33,9 +33,11 @@
 // Repair is checked: the reader hands a repair its stripe only once every
 // reconstructed sector matches its manifest checksum (else the stripe is
 // unrecoverable). Each device with a damaged sector then has its whole
-// padded chunk rewritten by the StripeWriter (verified sectors in place,
-// reconstructed ones filled in) in one aligned transfer. A repair writes
-// bytes the manifest already describes, so a pass never saves the manifest.
+// padded chunk rewritten by the StripeWriter in one aligned transfer,
+// straight from the slot's chunk staging: the reader verified the sectors it
+// read there and decoded the others in place, so a rebuild copies nothing. A
+// repair writes bytes the manifest already describes, so a pass never saves
+// the manifest.
 //
 // scrub(dir), rebuild_device(dir) and start(dir) open a store per pass
 // (read-only for a detect-only scrub). Such a pass coordinates with no one,

@@ -404,20 +404,16 @@ void StorageNode::serve_write(const StatePtr& state) {
   StripeRing ring(store.slots(), 1);
   {
     StripeRing::Lease slot = ring.acquire();
-    if (!slot->buf) slot->buf.emplace(codec_.code(), store.store().symbol_bytes);
-    // Stage the payload at full stripe width (tail stripes encode
-    // zero-padded, exactly like encode_file laid them down).
-    slot->data.assign(req.data.begin(), req.data.end());
-    slot->data.resize(stripe_data_, 0);
-    slot->buf->set_data(slot->data);
+    // Lay the payload into the slot's staging (a tail stripe encodes
+    // zero-padded, exactly as encode_file laid it down).
+    store.lay_data(*slot, req.data);
 
     store.lock(req.stripe, req.stripe, /*exclusive=*/true);
     try {
-      codec_.submit_encode(slot->buf->view()).wait();
+      codec_.submit_encode(slot->view).wait();
       // Rewrite all n chunks in place through the store's fds; the writer
       // hashes the new sectors on the way.
-      const StripeView& view = slot->buf->view();
-      store.writer().write(ring, std::move(slot), view, store.fds(), req.stripe, new_checksums,
+      store.writer().write(ring, std::move(slot), store.fds(), req.stripe, new_checksums,
                            [&error](int err) {
                              if (err)
                                error = std::string("chunk write failed: ") + std::strerror(err);

@@ -36,8 +36,10 @@
 // node's engine; workers and the background scrubber borrow it. Reads are
 // served by its StripeReader::read_range on the worker itself — degraded
 // ones (a device mid-rebuild) decode through the session plan cache. A write
-// re-encodes its stripe, rewrites all n chunks through the StripeWriter,
-// and installs the new checksums and re-saves the manifest before the ack.
+// copies its payload once, into the data symbols of a slot's chunk staging,
+// encodes the stripe there in place, rewrites all n chunks from it through
+// the StripeWriter, and installs the new checksums and re-saves the
+// manifest before the ack.
 // Stripe locks order it all: reads shared, writes exclusive, and the
 // scrubber shared from a stripe's reads until its repairs retire, so scrub
 // verifies against the live checksums and never sees a write half done. A

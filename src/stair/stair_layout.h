@@ -95,8 +95,9 @@ class StairLayout {
   // --- enumeration ----------------------------------------------------------
 
   /// Stored data positions in row-major order; index into this vector defines
-  /// the data-symbol numbering used by StripeBuffer::set_data and the
-  /// coefficient analyses.
+  /// the data-symbol numbering of a stripe's data bytes (stair_code.h's
+  /// flat-data helpers, the store's data positions) and the coefficient
+  /// analyses.
   const std::vector<std::uint32_t>& data_ids() const { return data_ids_; }
 
   /// Stored parity ids: all row parities, then (inside mode) the s inside

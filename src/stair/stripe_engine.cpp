@@ -102,7 +102,9 @@ ChunkStaging::ChunkStaging(io::Engine& engine, const StripeStore& store,
                            std::size_t capacity)
     : engine_(engine),
       pool_(store.padded_chunk_bytes(), store.staging_alignment(), capacity),
-      devices_(store.cfg.n) {
+      devices_(store.cfg.n),
+      rows_(store.cfg.r),
+      symbol_(store.symbol_bytes) {
   // ENOTSUP (thread backend), EBUSY (another store's set is live) or ENOMEM
   // just mean the plain path: the buffers stay aligned and valid either way.
   const auto regions = pool_.regions();
@@ -114,13 +116,17 @@ ChunkStaging::~ChunkStaging() {
   if (registered_) engine_.unregister_buffers();
 }
 
-IoBuffer& ChunkStaging::chunk(StripeSlot& slot, std::size_t device) {
-  // Sized once, on a fresh slot's first use: later calls must not move the
-  // leases that completions of the same stripe are reading.
-  if (slot.chunks.size() != devices_) slot.chunks.resize(devices_);
-  IoBufferPool::Lease& lease = slot.chunks[device];
-  if (!lease) lease = pool_.acquire();
-  return *lease;
+void ChunkStaging::lease(StripeSlot& slot) {
+  // Once, on a fresh slot's first use: later calls must not move the leases
+  // that completions of the same stripe are reading.
+  if (!slot.chunks.empty()) return;
+  std::vector<IoBufferPool::Lease> chunks(devices_);
+  for (IoBufferPool::Lease& chunk : chunks) chunk = pool_.acquire();
+  slot.view.symbol_size = symbol_;
+  slot.view.stored.resize(rows_ * devices_);
+  for (std::size_t k = 0; k < rows_ * devices_; ++k)  // (i, j) at k = i * n + j
+    slot.view.stored[k] = {chunks[k % devices_]->data + k / devices_ * symbol_, symbol_};
+  slot.chunks = std::move(chunks);
 }
 
 void ChunkStaging::read(int fd, std::uint64_t offset, IoBuffer& chunk, std::size_t lo,
@@ -160,7 +166,7 @@ void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, std::size_t st
   const StripeStore& store = open_.store();
   const StairConfig& cfg = store.cfg;
   const std::size_t symbol = store.symbol_bytes;
-  if (!slot->buf) slot->buf.emplace(codec_.code(), symbol);
+  open_.staging().lease(*slot);
   // Rows each device must deliver: all of them, or those holding the wanted
   // data symbols. Data symbols lie row-major, so a device's wanted rows are
   // contiguous and one transfer covers them.
@@ -200,8 +206,8 @@ void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, std::size_t st
       complete(io::Result{ENOENT, 0});
     } else {
       const auto [lo, hi] = store.row_window(first, last);
-      open_.staging().read(fd, store.chunk_offset(stripe), open_.staging().chunk(*job->slot, j),
-                           lo, hi, std::move(complete));
+      open_.staging().read(fd, store.chunk_offset(stripe), *job->slot->chunks[j], lo, hi,
+                           std::move(complete));
     }
   }
 }
@@ -209,21 +215,15 @@ void StripeReader::read(StripeRing& ring, StripeRing::Lease slot, std::size_t st
 void StripeReader::verify_chunk(Job& job, std::size_t device) {
   StripeSlot& sl = *job.slot;
   const StripeStore& store = open_.store();
-  const std::size_t symbol = store.symbol_bytes;
+  const std::size_t n = store.cfg.n;
   const auto [first, last] = sl.rows[device];
   const auto [lo, hi] = store.row_window(first, last);
   const io::Result& r = sl.results[device];
   if (job.plan.erase != device && r.ok() && r.bytes == hi - lo) {
-    const std::uint8_t* data = sl.chunks[device]->data;
     for (std::size_t i = first; i < last; ++i) {
-      const std::span<const std::uint8_t> sector(data + i * symbol, symbol);
-      const bool bad = content_hash64(sector) != store.sector_checksum(job.stripe, device, i);
-      sl.sector_bad[i * store.cfg.n + device] = bad ? 1 : 0;
-      // Odd symbol sizes cannot decode zero-copy over the staging (kernels
-      // and altmap regions want 64-byte alignment): stage verified sectors
-      // into the stripe buffer here, while they are warm.
-      if (!bad && symbol % 64 != 0)
-        std::memcpy(sl.buf->symbol(i, device).data(), sector.data(), symbol);
+      const bool bad = content_hash64(sl.view.stored[i * n + device]) !=
+                       store.sector_checksum(job.stripe, device, i);
+      sl.sector_bad[i * n + device] = bad ? 1 : 0;
     }
   }
   if (sl.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) assemble(job);
@@ -233,10 +233,9 @@ void StripeReader::assemble(Job& job) {
   StripeRing& ring = job.ring;
   StripeSlot& sl = *job.slot;
   const StripeStore& store = open_.store();
-  const std::size_t n = store.cfg.n, symbol = store.symbol_bytes;
+  const std::size_t n = store.cfg.n;
   try {
     sl.mask.assign(store.cfg.r * n, false);
-    sl.view = sl.buf->view();
     std::size_t missing = 0, corrupt = 0;
     for (std::size_t j = 0; j < n; ++j) {
       const auto [first, last] = sl.rows[j];
@@ -254,14 +253,11 @@ void StripeReader::assemble(Job& job) {
       }
       // The transfer succeeded: erase exactly the sectors whose content lies
       // (torn write, bit rot) — a sector failure for the code's e coverage
-      // instead of one of its m device credits. Verified symbols are used
-      // straight from the staging where alignment allows.
+      // instead of one of its m device credits.
       for (std::size_t i = first; i < last; ++i) {
         if (sl.sector_bad[i * n + j]) {
           ++corrupt;
           sl.mask[i * n + j] = true;
-        } else if (symbol % 64 == 0) {
-          sl.view.stored[i * n + j] = std::span(sl.chunks[j]->data + i * symbol, symbol);
         }
       }
     }
@@ -390,30 +386,23 @@ IoStats StripeReader::read_range(std::uint64_t offset, std::span<std::uint8_t> o
 // StripeWriter
 // ---------------------------------------------------------------------------
 
-void StripeWriter::write(StripeRing& ring, StripeRing::Lease slot, const StripeView& stripe,
-                         std::span<const int> fds, std::size_t index,
-                         std::span<std::uint64_t> checksums, Done done) {
+void StripeWriter::write(StripeRing& ring, StripeRing::Lease slot, std::span<const int> fds,
+                         std::size_t index, std::span<std::uint64_t> checksums, Done done) {
   const StripeStore& store = open_.store();
   ChunkStaging& staging = open_.staging();
   const StairConfig& cfg = store.cfg;
-  const std::size_t symbol = store.symbol_bytes;
   const std::size_t chunk_bytes = store.chunk_bytes();
   const std::size_t padded = store.padded_chunk_bytes();
   std::size_t writes = 0;
   for (std::size_t j = 0; j < cfg.n; ++j) {
     if (fds[j] < 0) continue;
     ++writes;
-    std::uint8_t* chunk = staging.chunk(*slot, j).data;
-    // Gather the device's r symbols (stripe-contiguous on disk), hashing
-    // each while it is warm from the copy.
-    for (std::size_t i = 0; i < cfg.r; ++i) {
-      const std::span<const std::uint8_t> sym = stripe.stored[i * cfg.n + j];
-      if (sym.data() != chunk + i * symbol) std::memcpy(chunk + i * symbol, sym.data(), symbol);
-      if (!checksums.empty()) checksums[j * cfg.r + i] = content_hash64(sym);
-    }
+    if (!checksums.empty())
+      for (std::size_t i = 0; i < cfg.r; ++i)
+        checksums[j * cfg.r + i] = content_hash64(slot->view.stored[i * cfg.n + j]);
     // Pad bytes are written (zeroed) rather than skipped: the whole padded
     // row transfers in one aligned write.
-    if (padded > chunk_bytes) std::memset(chunk + chunk_bytes, 0, padded - chunk_bytes);
+    std::memset(slot->chunks[j]->data + chunk_bytes, 0, padded - chunk_bytes);
   }
   if (writes == 0) {
     done(0);

@@ -12,26 +12,30 @@
 //     mask (a failed or short transfer erases its rows, a checksum mismatch
 //     only its sector; optionally one column pre-erased for rebuild); a
 //     ranged read with a wanted sector erased widens here to the whole
-//     stripe ─▶ when asked, a decode through the session DecodePlanCache,
-//     zero-copy over the staging when symbol % 64 == 0 ─▶ each rebuilt
-//     sector the plan uses proven against its manifest checksum ─▶ the
-//     wanted bytes copied out ─▶ callback. No caller checks a sector.
-//   StripeWriter: gather a StripeView's columns into padded chunk staging
-//     (zeroed tails) ─▶ hash every sector ─▶ the positioned chunk writes
-//     under one countdown ─▶ callback. Manifest updates stay with the caller.
+//     stripe ─▶ when asked, a decode in place through the session
+//     DecodePlanCache ─▶ each rebuilt sector the plan uses proven against
+//     its manifest checksum ─▶ the wanted bytes copied out ─▶ callback. No
+//     caller checks a sector.
+//   StripeWriter: the slot's chunks as they are, pad tails zeroed ─▶ hash
+//     every sector ─▶ the positioned chunk writes under one countdown ─▶
+//     callback. Manifest updates stay with the caller.
+//
+// A slot's chunk staging is its only stripe buffer: symbol (i, j) is row i
+// of device j's chunk. Encodes lay data into it and run in place, as do the
+// reader's verify and decode, and the writer writes the chunks as they are.
 //
 // Each live store has one staging pool, reader and writer, built by its
 // OpenStore (stair/open_store.h).
 //
 // Both run inside a StripeRing: the bounded set of stripes one operation has
-// in flight. A ring leases slots (coding scratch, chunk staging, the
-// reader's verdicts) up to its depth, keeps the operation's first fatal
+// in flight. A ring leases slots (chunk staging and the reader's
+// verdicts) up to its depth, keeps the operation's first fatal
 // error and its tallies, and drain() waits until every slot is back. A
 // stripe leaves the ring when the last copy of its lease is released, so no
 // stage retires a stripe by hand. Synchronous callers (ranged reads, node
 // writes) use a ring of depth 1 as their completion wait.
 //
-// Stage work (verify, assembly, gathers) never runs on an IO completion
+// Stage work (verify and assembly) never runs on an IO completion
 // thread: the single uring reaper in particular must stay free to complete
 // transfers. It runs on the codec pool, except in read_range's ring, whose
 // caller does nothing but wait for each stripe: there the thread waiting in
@@ -78,7 +82,6 @@ struct IoStats {
 /// One stripe in flight, reused warm through its store's WorkspacePool:
 /// buffers and staging leases stick to the slot.
 struct StripeSlot {
-  std::optional<StripeBuffer> buf;          // encode input / decode target
   std::vector<std::uint8_t> data;           // flat stripe data (file side)
   std::vector<IoBufferPool::Lease> chunks;  // per-device aligned staging
   std::vector<std::pair<std::size_t, std::size_t>> rows;  // reader: [first, last) per device
@@ -88,9 +91,8 @@ struct StripeSlot {
   /// do safely. Published to the assembling thread by `pending`.
   std::vector<std::uint8_t> sector_bad;
   std::vector<bool> mask;  // reader: erased symbols, pre-erased column included
-  /// Reader: the stripe as read — verified symbols in the staging (or buf
-  /// at odd symbol sizes), erased ones in buf, reconstructed once recovered.
-  /// A ranged read that did not widen holds only its wanted symbols.
+  /// The stripe over `chunks`: symbol (i, j) is row i of chunks[j]. After a
+  /// ranged read that did not widen, only its wanted symbols are current.
   StripeView view;
   bool damaged = false;  // reader: damage beyond the pre-erased column
   /// Reader: every sector the plan uses is proven (verified, or rebuilt and
@@ -169,8 +171,9 @@ class ChunkStaging {
   ChunkStaging(const ChunkStaging&) = delete;
   ChunkStaging& operator=(const ChunkStaging&) = delete;
 
-  /// `slot`'s staging for `device`, leased on first use (slots keep theirs).
-  IoBuffer& chunk(StripeSlot& slot, std::size_t device);
+  /// Leases `slot`'s n chunks on its first use (slots keep theirs) and
+  /// points its view at them.
+  void lease(StripeSlot& slot);
 
   /// Transfers between a lease and the chunk at `offset` of a device file
   /// (fixed when registered): bytes [lo, hi) of both, or the first `bytes`.
@@ -182,7 +185,7 @@ class ChunkStaging {
  private:
   io::Engine& engine_;
   IoBufferPool pool_;
-  const std::size_t devices_;
+  const std::size_t devices_, rows_, symbol_;
   bool registered_ = false;
 };
 
@@ -255,16 +258,14 @@ class StripeWriter {
   /// The writer of `store`'s stripes, built by the store itself.
   explicit StripeWriter(OpenStore& store) : open_(store) {}
 
-  /// Gathers each column j of `stripe` with fds[j] >= 0 into the slot's
-  /// chunk staging, zeroing the pad tail (so stores stay byte-identical
-  /// whether or not O_DIRECT engaged), hashes its sectors into
+  /// Writes the stripe in `slot`'s chunk staging: each chunk j with
+  /// fds[j] >= 0 gets its pad tail zeroed (so stores stay byte-identical
+  /// whether or not O_DIRECT engaged), its sectors hashed into
   /// checksums[j * r + i] when `checksums` is non-empty (filled before this
-  /// returns), and writes each padded chunk at chunk_offset(index).
-  /// Symbols already in place (a repair rewriting the chunk it just read)
-  /// are not copied. Bytes written are tallied on `ring`.
-  void write(StripeRing& ring, StripeRing::Lease slot, const StripeView& stripe,
-             std::span<const int> fds, std::size_t index,
-             std::span<std::uint64_t> checksums, Done done);
+  /// returns), and is written whole at chunk_offset(index). Bytes written
+  /// are tallied on `ring`.
+  void write(StripeRing& ring, StripeRing::Lease slot, std::span<const int> fds,
+             std::size_t index, std::span<std::uint64_t> checksums, Done done);
 
  private:
   OpenStore& open_;

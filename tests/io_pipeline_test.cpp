@@ -19,6 +19,8 @@
 #include "gf/kernel.h"
 #include "gf/region.h"
 #include "stair/io_pipeline.h"
+#include "stair/scrub_repair.h"
+#include "stair/service.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -171,6 +173,54 @@ TEST(IoPipeline, SlotRingSettlesAtQueueDepth) {
   // The ring bounds stripes in flight; the pool may briefly overshoot while
   // a retiring slot's lease unwinds, but it must not grow with stripe count.
   EXPECT_LE(pipeline.slots_created(), 3u + 2u);
+}
+
+// A store keeps a stripe's r * n stored symbols and nothing else, so a code
+// that keeps its s global parities outside the stripe would lose them on
+// every write: its stores would fail damage inside the code's coverage.
+// Every entry point refuses such a code, naming the mode, before it touches
+// a chunk.
+TEST(IoPipeline, OutsideGlobalParityCodeIsRefused) {
+  const StoreCase c = fault_cases()[0];
+  const StairCode outside(c.cfg, GlobalParityMode::kOutside);
+  Codec codec(outside);
+  auto names_mode = [](const std::string& error) {
+    return error.find("GlobalParityMode::kOutside") != std::string::npos;
+  };
+  TempDir dir("outside");
+  write_random_file(dir.path / "input.bin", 30'000, 43);
+  const std::string store = (dir.path / "store").string();
+  IoPipeline pipeline(codec, {.symbol_bytes = c.symbol});
+  const auto enc = pipeline.encode_file((dir.path / "input.bin").string(), store);
+  EXPECT_FALSE(enc.ok);
+  EXPECT_TRUE(names_mode(enc.error)) << enc.error;
+  EXPECT_FALSE(fs::exists(dev_path(dir, 0))) << "encode_file wrote a chunk";
+
+  // A store the inside code wrote: reading it with the outside code is
+  // refused the same way.
+  const auto data = encode_store(dir, c, 30'000, 43);
+  const auto dec = pipeline.decode_file(store, (dir.path / "output.bin").string());
+  EXPECT_FALSE(dec.ok);
+  EXPECT_TRUE(names_mode(dec.error)) << dec.error;
+  std::vector<std::uint8_t> out(100);
+  const auto rr = pipeline.read_range(store, 0, out);
+  EXPECT_FALSE(rr.ok);
+  EXPECT_TRUE(names_mode(rr.error)) << rr.error;
+  const ScrubReport rep = Scrubber(codec, {.repair = true}).scrub(store);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_TRUE(names_mode(rep.error)) << rep.error;
+  StorageNode node(codec, store, {.tenants = 1, .workers = 1});
+  try {
+    node.start();
+    ADD_FAILURE() << "StorageNode::start accepted the outside code";
+  } catch (const std::runtime_error& e) {
+    EXPECT_TRUE(names_mode(e.what())) << e.what();
+  }
+
+  // The store is untouched: the inside code still decodes it byte-exactly.
+  const auto clean = decode_store(dir, c);
+  EXPECT_TRUE(clean.ok) << clean.error;
+  EXPECT_EQ(read_all(dir.path / "output.bin"), data);
 }
 
 // --- recoverable fault classes ----------------------------------------------

@@ -5,9 +5,10 @@
 // agree on the bytes, the degraded-stripe count and the unrecoverable
 // verdict, and must each open chunk files the way the layout says (O_DIRECT
 // on a padded store, buffered on an unpadded one, whatever STAIR_IO_DIRECT
-// says). Plus the plan-cache contract of degraded ranged reads (one failure
-// epoch, one inversion), the transfers a ranged read issues, and what each
-// path does with a reconstruction that fails its own checksum.
+// says). Plus symbol sizes off the 64-byte grain through decode, ranged
+// read, repair and rebuild, the plan-cache contract of degraded ranged reads
+// (one failure epoch, one inversion), the transfers a ranged read issues,
+// and what each path does with a reconstruction that fails its own checksum.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 
 #include <unistd.h>
 
+#include "gf/region.h"
 #include "matrix/matrix.h"
 #include "stair/io_pipeline.h"
 #include "stair/scrub_repair.h"
@@ -84,16 +86,19 @@ std::uint64_t direct_requests(io::Engine& engine) {
 
 /// `padded`: encode the block-padded (raw-device) layout.
 std::vector<std::uint8_t> encode_store(const TempDir& dir, std::uint64_t seed,
-                                       bool padded = io::direct_from_env()) {
-  std::vector<std::uint8_t> data(kFileBytes);
+                                       bool padded = io::direct_from_env(),
+                                       const StairConfig& cfg = kCfg,
+                                       std::size_t symbol = kSymbol,
+                                       std::size_t bytes = kFileBytes) {
+  std::vector<std::uint8_t> data(bytes);
   Rng(seed).fill(data);
   {
     std::ofstream out(dir.path / "input.bin", std::ios::binary);
     out.write(reinterpret_cast<const char*>(data.data()),
               static_cast<std::streamsize>(data.size()));
   }
-  Codec codec(kCfg);
-  IoPipeline pipeline(codec, {.symbol_bytes = kSymbol, .direct = padded});
+  Codec codec(cfg);
+  IoPipeline pipeline(codec, {.symbol_bytes = symbol, .direct = padded});
   const auto st = pipeline.encode_file((dir.path / "input.bin").string(), dir.store());
   EXPECT_TRUE(st.ok) << st.error;
   return data;
@@ -110,7 +115,8 @@ void tear_sector(const TempDir& dir, const StripeStore& store, std::size_t strip
   std::fstream f(StripeStore::device_path(dir.store(), device),
                  std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f);
-  const auto at = static_cast<std::streamoff>(store.chunk_offset(stripe) + row * kSymbol);
+  const auto at =
+      static_cast<std::streamoff>(store.chunk_offset(stripe) + row * store.symbol_bytes);
   char buf[16];
   f.seekg(at);
   f.read(buf, sizeof buf);
@@ -215,6 +221,94 @@ TEST(StripeEngine, ReadPathsAgreeOnEveryDamageShape) {
       EXPECT_EQ(resp.ok, !shape.unrecoverable) << resp.error;
       EXPECT_EQ(resp.degraded_stripes, shape.degraded);
       EXPECT_TRUE(same_bytes(served));
+    }
+  }
+}
+
+// A slot's chunk staging is its stripe at every symbol size. Where the size
+// is not a multiple of 64 its symbols sit unaligned in the staging, and a
+// w = 16 code replays its altmap conversion over those unaligned regions.
+// On both layouts, each size decodes a lost device plus a torn sector,
+// serves a ranged read across both, repairs them in a scrub and rebuilds a
+// device, and every byte read or written back is the original.
+TEST(StripeEngine, EverySymbolSizeDecodesRepairsAndRebuildsByteExact) {
+  struct Case {
+    StairConfig cfg;
+    std::size_t symbol;
+  };
+  StairConfig w16 = kCfg;
+  w16.w = 16;
+  const std::vector<Case> cases = {{kCfg, 100}, {kCfg, 4100}, {w16, 100}, {w16, 4100}};
+  for (const bool padded : {false, true}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE("w=" + std::to_string(c.cfg.w) + " symbol=" + std::to_string(c.symbol) +
+                   (padded ? " (padded)" : " (unpadded)"));
+      struct AltmapPin {  // released even when an assertion returns early
+        explicit AltmapPin(bool pin) {
+          if (pin) gf::force_layout(gf::RegionLayout::kAltmap);
+        }
+        ~AltmapPin() { gf::reset_layout(); }
+      } pin(c.cfg.w == 16);
+      TempDir dir("symbol");
+      Codec codec(c.cfg);
+      const auto positions = StripeStore::data_positions(codec.code().layout());
+      const std::size_t stripe_data = positions.size() * c.symbol;
+      const auto data = encode_store(dir, 64, padded, c.cfg, c.symbol, 2 * stripe_data + 777);
+      const StripeStore store = StripeStore::load(dir.store());
+      ASSERT_EQ(store.stripes, 3u);
+      std::vector<std::vector<std::uint8_t>> written;
+      for (std::size_t j = 0; j < c.cfg.n; ++j)
+        written.push_back(read_all(StripeStore::device_path(dir.store(), j)));
+      auto devices_as_written = [&] {
+        for (std::size_t j = 0; j < c.cfg.n; ++j)
+          if (read_all(StripeStore::device_path(dir.store(), j)) != written[j]) return false;
+        return true;
+      };
+
+      // Row 1 holds data on devices 0-5: lose device 0, tear (1, 2) of stripe 1.
+      auto data_index = [&](std::size_t row, std::size_t dev) {
+        return static_cast<std::size_t>(
+            std::find(positions.begin(), positions.end(), StripeStore::Position{row, dev}) -
+            positions.begin());
+      };
+      ASSERT_LT(data_index(1, 2), positions.size());
+      tear_sector(dir, store, 1, 1, 2);
+      ASSERT_TRUE(fs::remove(StripeStore::device_path(dir.store(), 0)));
+
+      IoPipeline pipeline(codec);
+      const auto dec = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
+      EXPECT_TRUE(dec.ok) << dec.error;
+      EXPECT_EQ(dec.degraded_stripes, 3u);
+      EXPECT_EQ(read_all(dir.path / "out.bin"), data);
+
+      // Symbols (1, 0) to (1, 2) of stripe 1, from inside the first.
+      const std::size_t offset = stripe_data + data_index(1, 0) * c.symbol + 7;
+      std::vector<std::uint8_t> ranged(2 * c.symbol + 9);
+      const auto rr = pipeline.read_range(dir.store(), offset, ranged);
+      EXPECT_TRUE(rr.ok) << rr.error;
+      EXPECT_EQ(rr.degraded_stripes, 1u);
+      EXPECT_TRUE(std::equal(ranged.begin(), ranged.end(),
+                             data.begin() + static_cast<std::ptrdiff_t>(offset)));
+
+      // The scrub recreates device 0 empty and rewrites every chunk of it,
+      // and device 2's chunk of stripe 1.
+      const ScrubReport rep = Scrubber(codec, {.repair = true}).scrub(dir.store());
+      EXPECT_TRUE(rep.ok) << rep.error;
+      EXPECT_EQ(rep.stripes_degraded, 3u);
+      EXPECT_EQ(rep.sectors_repaired, 3 * c.cfg.r + 1);
+      EXPECT_EQ(rep.repair_failures, 0u);
+      EXPECT_TRUE(devices_as_written()) << "repair";
+
+      ASSERT_TRUE(fs::remove(StripeStore::device_path(dir.store(), 3)));
+      const ScrubReport rebuilt = Scrubber(codec).rebuild_device(dir.store(), 3);
+      EXPECT_TRUE(rebuilt.ok) << rebuilt.error;
+      EXPECT_EQ(rebuilt.sectors_repaired, 3 * c.cfg.r);
+      EXPECT_TRUE(devices_as_written()) << "rebuild";
+
+      const auto clean = pipeline.decode_file(dir.store(), (dir.path / "out.bin").string());
+      EXPECT_TRUE(clean.ok) << clean.error;
+      EXPECT_EQ(clean.degraded_stripes, 0u);
+      EXPECT_EQ(read_all(dir.path / "out.bin"), data);
     }
   }
 }
